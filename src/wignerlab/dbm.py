@@ -7,6 +7,7 @@ entry variance 1/N; pathwise integration exists for cross-validation only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from .profile import VarianceProfile, flat_profile
 from .sampler import WignerSample, gaussian, sample_matrix
-from .semicircle import rho_sc
 
 
 class FlowError(ValueError):
@@ -49,13 +49,19 @@ class GapSample:
     window: tuple[float, float]  # (center, half_width)
 
 
+@functools.lru_cache(maxsize=1)
+def _flat(n: int) -> VarianceProfile:
+    """The flat profile of the last dimension asked for, built once."""
+    return flat_profile(n)
+
+
 def _noise(n: int, symmetry: str, stream: np.random.Generator) -> np.ndarray:
     """Gaussian matrix with entry variance 1/n in both symmetry classes.
 
     Uses the flat profile on the diagonal too, which makes sigma2 = 1/n a
     fixed point of the variance interpolation.
     """
-    return sample_matrix(flat_profile(n), gaussian(), symmetry, stream).h
+    return sample_matrix(_flat(n), gaussian(), symmetry, stream).h
 
 
 def ou_endpoint(
@@ -131,7 +137,11 @@ def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> GapSample
     lo, hi = idx[0], idx[-1]
     lam = eigs[lo : hi + 1]
     raw = np.diff(lam)
-    unfolded = raw * n * np.array([rho_sc(x) for x in lam[:-1]])
+    # semicircle.rho_sc, element-wise with the same operations
+    x = lam[:-1]
+    t = 4.0 - x * x
+    rho = np.where(t > 0.0, np.sqrt(np.maximum(t, 0.0)) / (2.0 * math.pi), 0.0)
+    unfolded = raw * n * rho
     return GapSample(gaps=unfolded, window=window)
 
 
@@ -144,7 +154,7 @@ def equilibrium_gap_reference(
 ) -> np.ndarray:
     """Pooled unfolded gaps from independent Gaussian (flat-profile) matrices."""
     pools = []
-    p = flat_profile(n)
+    p = _flat(n)
     for _ in range(samples):
         s = sample_matrix(p, gaussian(), symmetry, stream)
         pools.append(gap_distribution(s.eigenvalues(), window).gaps)

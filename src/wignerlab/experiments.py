@@ -123,8 +123,11 @@ class ExperimentReport:
             fh.write("\n")
 
     def content_hash(self) -> str:
+        """Hash of the config and rows; `threads` changes how a run executes,
+        never what it computes, so it stays out."""
+        config = {k: v for k, v in self.config.items() if k != "threads"}
         h = hashlib.sha256()
-        h.update(json.dumps(self.config, sort_keys=True).encode())
+        h.update(json.dumps(config, sort_keys=True).encode())
         for row in self.rows:
             h.update(",".join(_fmt(v) for v in row).encode())
         return h.hexdigest()[:16]
@@ -479,13 +482,13 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     rows = []
     ks_by_t = {}
+    iu = np.triu_indices(n, k=1)
     for ti, t in enumerate(t_list):
         def one(i, t=t, ti=ti):
             stream = derive_stream(cfg.master_seed, ti * 10**5 + i)
             ht = dbm.ou_endpoint(h0, t, cfg.symmetry, stream)
             eigs = np.linalg.eigvalsh(ht)
             gaps = dbm.gap_distribution(eigs, (0.0, 1.0)).gaps
-            iu = np.triu_indices(n, k=1)
             off_mean = float(np.mean(np.abs(ht[iu]) ** 2)) * n
             diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
             return gaps, off_mean, diag_dev

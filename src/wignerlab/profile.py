@@ -8,7 +8,7 @@ bounded by c0/N.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ class VarianceProfile:
     sigma2: np.ndarray
     kind: str
     c0: float
+    _hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.sigma2
@@ -46,6 +47,8 @@ class VarianceProfile:
                 f"column {bad} sums to {col[bad]!r}, not doubly stochastic"
             )
         self.sigma2.flags.writeable = False
+        digest = hashlib.sha256(np.ascontiguousarray(s)).hexdigest()[:16]
+        object.__setattr__(self, "_hash", digest)
 
     @property
     def c_inf(self) -> float:
@@ -56,9 +59,7 @@ class VarianceProfile:
         return float(self.n * self.sigma2.max())
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.sigma2).tobytes())
-        return h.hexdigest()[:16]
+        return self._hash
 
     def save_txt(self, path) -> None:
         np.savetxt(path, self.sigma2, fmt="%.17g")

@@ -119,16 +119,20 @@ class WignerSample:
 
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            self._eigenvalues = np.linalg.eigvalsh(self.h)
+            self._eigenvalues = _finite(np.linalg.eigvalsh(self.h))
         return self._eigenvalues
 
     def eigen_pair(self):
         if self._eigenvectors is None:
             w, u = np.linalg.eigh(self.h)
-            if not np.all(np.isfinite(w)):
-                raise FloatingPointError("eigendecomposition produced non-finite values")
-            self._eigenvalues, self._eigenvectors = w, u
+            self._eigenvalues, self._eigenvectors = _finite(w), u
         return self._eigenvalues, self._eigenvectors
+
+
+def _finite(w: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(w)):
+        raise FloatingPointError("eigendecomposition produced non-finite values")
+    return w
 
 
 def derive_stream(master_seed: int, sample_index: int) -> np.random.Generator:
@@ -144,28 +148,65 @@ def sample_matrix(
     stream: np.random.Generator,
     provenance: Provenance | None = None,
 ) -> WignerSample:
-    """Draw one matrix with E h_ij = 0 and E |h_ij|^2 = sigma2_ij * scale^2."""
+    """Draw one matrix with E h_ij = 0 and E |h_ij|^2 = sigma2_ij * scale^2.
+
+    Draw order: the strict upper triangle in row-major order (for Hermitian
+    matrices all real parts, then all imaginary parts), then the diagonal.
+    """
     n = p.n
-    sigma = np.sqrt(p.sigma2)
-    iu = np.triu_indices(n, k=1)
+    m = n * (n - 1) // 2
     if symmetry == SYMMETRIC:
-        h = np.zeros((n, n))
-        h[iu] = d.draw(stream, iu[0].size) * sigma[iu]
-        h = h + h.T
-        np.fill_diagonal(h, d.draw(stream, n) * np.diag(sigma))
+        upper = d.draw(stream, m)
+        h = np.empty((n, n))
     elif symmetry == HERMITIAN:
         # independent real/imaginary parts, each of variance sigma2/2
-        re = d.draw(stream, iu[0].size)
-        im = d.draw(stream, iu[0].size)
-        h = np.zeros((n, n), dtype=complex)
-        h[iu] = (re + 1j * im) / math.sqrt(2.0) * sigma[iu]
-        h = h + h.conj().T
-        np.fill_diagonal(h, d.draw(stream, n) * np.diag(sigma))
+        re = d.draw(stream, m)
+        im = d.draw(stream, m)
+        upper = (re + 1j * im) / math.sqrt(2.0)
+        h = np.empty((n, n), dtype=complex)
     else:
         raise ValueError(f"unknown symmetry class {symmetry!r}")
+    o = 0
+    for i in range(n - 1):
+        k = n - 1 - i
+        np.multiply(upper[o : o + k], np.sqrt(p.sigma2[i, i + 1 :]), out=h[i, i + 1 :])
+        o += k
+    _mirror_upper(h)
+    np.fill_diagonal(h, d.draw(stream, n) * np.sqrt(np.diagonal(p.sigma2)))
     if provenance is None:
         provenance = Provenance(-1, -1, d.law, p.content_hash(), symmetry)
     return WignerSample(h=h, profile=p, symmetry=symmetry, provenance=provenance)
+
+
+_MIRROR_BLOCK = 64
+
+
+def _mirror_upper(h: np.ndarray) -> None:
+    """Overwrite h with U + U^H, U its strict upper triangle, block by block.
+
+    Each entry gets the same addition with zero as in the full-matrix sum
+    ``np.triu(h, 1) + np.triu(h, 1).conj().T``, so every bit matches it, the
+    sign of zero included (a zero variance times a negative draw is -0.0, and
+    x + 0.0 turns it into +0.0). The diagonal comes out zero.
+    """
+    n = h.shape[0]
+    b = _MIRROR_BLOCK
+    hermitian = np.iscomplexobj(h)
+    # U[i, j] + conj(0); for complex h the conjugated zero is 0 - 0j
+    upper_zero = complex(0.0, -0.0) if hermitian else 0.0
+    for i0 in range(0, n, b):
+        i1 = min(i0 + b, n)
+        u = np.triu(h[i0:i1, i0:i1], 1)
+        np.add(u, u.conj().T, out=h[i0:i1, i0:i1])
+        for j0 in range(i1, n, b):
+            j1 = min(j0 + b, n)
+            up, lo = h[i0:i1, j0:j1], h[j0:j1, i0:i1]
+            up += upper_zero
+            if hermitian:
+                np.conjugate(up.T, out=lo)
+                lo += 0.0  # 0 + conj(U): a -0.0 imaginary part becomes +0.0
+            else:
+                lo[...] = up.T
 
 
 def sample_indexed(p, d, symmetry, master_seed: int, sample_index: int) -> WignerSample:

@@ -238,19 +238,19 @@ def test_criterion_8_dbm_relaxation():
 
 
 def test_criterion_9_determinism(tmp_path):
-    payloads = []
+    payloads, hashes = [], []
     for threads in (1, 4):
         cfg = ExperimentConfig(
             n_list=[64, 96], samples_per_n=10, master_seed=20240901, threads=threads
         )
         rep = run_counting(cfg)
         path = tmp_path / f"counting_t{threads}.csv"
-        rep.config["threads"] = 0  # thread count is not part of the payload
         rep.write_csv(path)
         payloads.append(path.read_bytes())
-    ok = payloads[0] == payloads[1]
+        hashes.append(rep.content_hash())
+    ok = payloads[0] == payloads[1] and hashes[0] == hashes[1]
     assert verdict(
         "criterion-9 determinism",
         ok,
-        "byte-identical CSV across --threads 1 and 4",
+        "byte-identical CSV and equal content hash across --threads 1 and 4",
     )

@@ -146,16 +146,16 @@ def test_extreme_monotone_in_c():
 
 
 def test_report_determinism_across_threads(tmp_path):
-    paths = []
+    paths, hashes = [], []
     for threads in (1, 2):
         cfg = ExperimentConfig(n_list=[48, 64, 96], samples_per_n=8, threads=threads)
         rep = run_rigidity(cfg)
         path = tmp_path / f"rigidity_{threads}.csv"
-        # thread count must not leak into the CSV payload
-        rep.config["threads"] = 0
         rep.write_csv(path)
         paths.append(path)
+        hashes.append(rep.content_hash())
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert hashes[0] == hashes[1]
 
 
 def test_report_rerun_byte_identical(tmp_path):

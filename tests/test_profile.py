@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,10 @@ def test_profile_immutable():
     p = flat_profile(4)
     with pytest.raises(ValueError):
         p.sigma2[0, 0] = 1.0
+
+
+def test_content_hash_is_sha256_of_sigma2():
+    p = band_profile(16, 4, indicator_half)
+    want = hashlib.sha256(p.sigma2.tobytes()).hexdigest()[:16]
+    assert p.content_hash() == want
+    assert flat_profile(16).content_hash() != want

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from wignerlab.profile import flat_profile
+from wignerlab.profile import band_profile, custom_profile, flat_profile
 from wignerlab.sampler import (
     HERMITIAN,
     SYMMETRIC,
     DistributionError,
+    Provenance,
+    WignerSample,
     derive_stream,
     from_name,
     gaussian,
@@ -160,3 +162,66 @@ def test_lazy_eigendecomposition():
     assert np.all(np.diff(w) >= 0)
     w2, u = s.eigen_pair()
     assert np.allclose((u * w2) @ u.conj().T, s.h, atol=1e-10)
+
+
+def _reference_matrix(p, d, symmetry, stream):
+    """Full-matrix formulation: scatter through triu_indices, then h + h^H."""
+    n = p.n
+    sigma = np.sqrt(p.sigma2)
+    iu = np.triu_indices(n, k=1)
+    if symmetry == SYMMETRIC:
+        h = np.zeros((n, n))
+        h[iu] = d.draw(stream, iu[0].size) * sigma[iu]
+        h = h + h.T
+    else:
+        re = d.draw(stream, iu[0].size)
+        im = d.draw(stream, iu[0].size)
+        h = np.zeros((n, n), dtype=complex)
+        h[iu] = (re + 1j * im) / math.sqrt(2.0) * sigma[iu]
+        h = h + h.conj().T
+    np.fill_diagonal(h, d.draw(stream, n) * np.diag(sigma))
+    return h
+
+
+def _custom_sparse(n):
+    """Doubly stochastic profile with unequal entries and symmetric zeros."""
+    rng = np.random.default_rng(n)
+    a = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+    s = a + a.T + np.eye(n)
+    for _ in range(500):
+        s = s / s.sum(axis=0, keepdims=True)
+        s = 0.5 * (s + s.T)
+    return custom_profile(s)
+
+
+_PROFILES = {
+    "flat": flat_profile,
+    "band": lambda n: band_profile(n, max(1, n // 8), lambda x: 0.5 if abs(x) <= 1.0 else 0.0),
+    "custom": _custom_sparse,
+}
+
+
+# 64 is the mirror's block size: these sizes fall below, on and across it
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 65, 130])
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+@pytest.mark.parametrize("kind", sorted(_PROFILES))
+def test_sample_matrix_matches_full_matrix_formulation(kind, symmetry, n):
+    p = _PROFILES[kind](n)
+    for k, law in enumerate([gaussian(), rademacher(), uniform(), two_point(0.3)]):
+        got = sample_matrix(p, law, symmetry, derive_stream(n, k)).h
+        want = _reference_matrix(p, law, symmetry, derive_stream(n, k))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # array_equal counts -0.0 == 0.0; the bytes must agree too, since the
+        # sign of a zero can steer LAPACK's Householder reflections
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["eigenvalues", "eigen_pair"])
+def test_non_finite_spectrum_raises(method):
+    h = np.eye(4)
+    h[0, 1] = h[1, 0] = np.inf
+    p = flat_profile(4)
+    s = WignerSample(h, p, SYMMETRIC, Provenance(-1, -1, "gaussian", p.content_hash(), SYMMETRIC))
+    with pytest.raises(FloatingPointError):
+        getattr(s, method)()
