@@ -10,11 +10,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
+import types
+import typing
 from pathlib import Path
 
 from . import profile as profile_mod
-from .experiments import RUNNERS, ConfigError, ExperimentConfig
+from .experiments import RUNNERS, ConfigError, ExperimentConfig, profile_from_spec
 from .resolvent import MinorSpec, green_at, identity_residuals, ward_residual
 from .sampler import SYMMETRIC, HERMITIAN, derive_stream, gaussian, sample_matrix
 from .semicircle import SpectralPoint, classical_locations
@@ -46,42 +47,44 @@ def read_config(path: str) -> dict:
     return out
 
 
-_LIST_FIELDS = {"n_list": int, "e_values": float, "t_list": float}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def build_config(file_values: dict, args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    by_name = {f.name: f for f in fields(ExperimentConfig)}
+    values = {}
     for key, value in file_values.items():
         name = key.removeprefix("experiment.")
-        if name not in by_name:
+        if name not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, name, _coerce(name, value))
+        values[name] = _coerce(name, value)
     # flags override config keys
     if args.n:
-        cfg.n_list = sorted(int(x) for x in args.n.split(","))
+        values["n_list"] = sorted(_coerce("n_list", args.n))
     if args.samples is not None:
-        cfg.samples_per_n = args.samples
+        values["samples_per_n"] = args.samples
     if args.seed is not None:
-        cfg.master_seed = args.seed
+        values["master_seed"] = args.seed
     if args.threads is not None:
-        cfg.threads = args.threads
-    cfg.__post_init__()
-    return cfg
+        values["threads"] = args.threads
+    return ExperimentConfig(**values)
 
 
 def _coerce(name: str, value: str):
-    if name in _LIST_FIELDS:
-        conv = _LIST_FIELDS[name]
-        return [conv(x) for x in value.split(",") if x.strip()]
-    if name in ("samples_per_n", "master_seed", "eta_count", "top_k",
-                "reference_samples", "threads"):
-        return int(value)
-    if name in ("eta_min_exponent", "l_param", "extreme_c"):
-        return float(value)
-    if name == "allow_moment_mismatch":
-        return value.lower() in ("1", "true", "yes")
-    return value
+    """Parse a config string as the type the ExperimentConfig field declares
+    (`X | None` parses as X, `list[X]` as comma-separated X)."""
+    kind = _FIELD_TYPES[name]
+    if isinstance(kind, types.UnionType):
+        kind = next(t for t in typing.get_args(kind) if t is not type(None))
+    try:
+        if typing.get_origin(kind) is list:
+            (item,) = typing.get_args(kind)
+            return [item(x) for x in value.split(",") if x.strip()]
+        if kind is bool:
+            return {"1": True, "true": True, "yes": True,
+                    "0": False, "false": False, "no": False}[value.lower()]
+        return kind(value)
+    except (ValueError, KeyError):
+        raise ConfigError(f"cannot parse {name} = {value!r}") from None
 
 
 def _write_outputs(report, out_dir: str, quiet: bool) -> int:
@@ -98,8 +101,7 @@ def _write_outputs(report, out_dir: str, quiet: bool) -> int:
 
 
 def cmd_check_profile(args) -> int:
-    cfg = ExperimentConfig(profile=args.profile, n_list=[args.n_dim])
-    p = cfg.make_profile(args.n_dim)
+    p = profile_from_spec(args.profile, args.n_dim)
     rep = profile_mod.assumption_report(p)
     summary = {
         "n": p.n, "kind": p.kind, "c_inf": rep.c_inf, "c_sup": rep.c_sup,

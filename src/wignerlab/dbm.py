@@ -159,30 +159,3 @@ def equilibrium_gap_reference(
         s = sample_matrix(p, gaussian(), symmetry, stream)
         pools.append(gap_distribution(s.eigenvalues(), window).gaps)
     return np.concatenate(pools)
-
-
-def relaxation_curve(
-    h0_factory,
-    t_list,
-    samples: int,
-    reference: np.ndarray,
-    symmetry: str,
-    stream: np.random.Generator,
-    window: tuple[float, float] = (0.0, 1.0),
-):
-    """Two-sample KS distance of pooled unfolded gaps against an equilibrium
-    reference, per flow time.  Returns rows (t, ks, n_gaps)."""
-    from .experiments import ks_two_sample
-
-    rows = []
-    for t in t_list:
-        pools = []
-        for _ in range(samples):
-            h0 = h0_factory()
-            ht = ou_endpoint(h0, float(t), symmetry, stream)
-            eigs = np.linalg.eigvalsh(ht)
-            pools.append(gap_distribution(eigs, window).gaps)
-        pooled = np.concatenate(pools)
-        ks, _, _ = ks_two_sample(pooled, reference)
-        rows.append((float(t), ks, int(pooled.size)))
-    return rows

@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from importlib import resources
 
 import numpy as np
@@ -17,20 +17,9 @@ import numpy as np
 from . import dbm
 from .profile import VarianceProfile, band_profile, flat_profile
 from .resolvent import control_params, green_at
-from .sampler import (
-    EntryDistribution,
-    derive_stream,
-    from_name,
-    moment_report,
-    moments_match,
-    sample_indexed,
-)
-from .semicircle import (
-    classical_locations,
-    m_sc,
-    make_grid,
-    n_sc,
-)
+from .sampler import (HERMITIAN, SYMMETRIC, derive_stream, from_name, moment_report,
+                      moments_match, sample_indexed)
+from .semicircle import classical_locations, m_sc, make_grid, n_sc
 
 
 class ConfigError(ValueError):
@@ -63,21 +52,46 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if sorted(self.n_list) != self.n_list:
-            raise ConfigError(f"n_list {self.n_list} must be sorted ascending")
+        if not self.n_list or self.n_list[0] < 2 or sorted(self.n_list) != self.n_list:
+            raise ConfigError(f"n_list {self.n_list} must be sorted ascending, sizes >= 2")
         if self.samples_per_n < 1:
             raise ConfigError("samples_per_n must be >= 1")
+        if self.symmetry not in (SYMMETRIC, HERMITIAN):
+            raise ConfigError(f"unknown symmetry {self.symmetry!r}")
+        try:
+            from_name(self.distribution)
+            if self.distribution_b is not None:
+                from_name(self.distribution_b)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        w = _band_width(self.profile)
+        if w is not None and not 1 <= w <= self.n_list[0] // 2:
+            raise ConfigError(f"band width {w} outside [1, {self.n_list[0] // 2}]")
+        if self.t_list is not None and (len(self.t_list) < 2 or min(self.t_list) < 0):
+            raise ConfigError(f"t_list {self.t_list} needs >= 2 nonnegative times")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
+        if not 1 <= self.top_k <= self.n_list[-1]:
+            raise ConfigError(f"top_k {self.top_k} outside [1, {self.n_list[-1]}]")
 
     def make_profile(self, n: int) -> VarianceProfile:
-        if self.profile == "flat":
-            return flat_profile(n)
-        if self.profile.startswith("band:w="):
-            w = int(self.profile.split("=", 1)[1])
-            return band_profile(n, w, lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
-        raise ConfigError(f"unknown profile spec {self.profile!r}")
+        return profile_from_spec(self.profile, n)
 
-    def entry_distribution(self) -> EntryDistribution:
-        return from_name(self.distribution)
+
+def _band_width(spec: str) -> int | None:
+    """Width w of a `band:w=<int>` profile spec; None for `flat`."""
+    head, _, w = spec.partition("=")
+    if spec != "flat" and not (head == "band:w" and w.isdecimal()):
+        raise ConfigError(f"unknown profile spec {spec!r}")
+    return int(w) if w else None
+
+
+def profile_from_spec(spec: str, n: int) -> VarianceProfile:
+    """The profile a `flat` or `band:w=<int>` spec names at dimension n."""
+    w = _band_width(spec)
+    if w is None:
+        return flat_profile(n)
+    return band_profile(n, w, lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
 
 
 @dataclass
@@ -148,6 +162,18 @@ def _map_indexed(fn, count: int, threads: int) -> list:
         return list(ex.map(fn, range(count)))
 
 
+def monte_carlo(cfg: ExperimentConfig, n: int, statistic) -> list:
+    """statistic(sample) for samples 0..samples_per_n-1 of the configured
+    ensemble at dimension n, in sample order whatever the thread count."""
+    p = cfg.make_profile(n)
+    d = from_name(cfg.distribution)
+
+    def one(i):
+        return statistic(sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i))
+
+    return _map_indexed(one, cfg.samples_per_n, cfg.threads)
+
+
 def fmean(xs) -> float:
     return math.fsum(xs) / len(xs)
 
@@ -213,8 +239,6 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     rows, fits, checks = [], {}, []
     for n in cfg.n_list:
-        p = cfg.make_profile(n)
-        d = cfg.entry_distribution()
         etas = np.geomspace(n**cfg.eta_min_exponent, 1.0, cfg.eta_count)
         try:
             grid = make_grid(n, cfg.e_values, etas, cfg.l_param)
@@ -223,8 +247,7 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
         fits[f"l_param_n{n}"] = grid.l_param
         pts = grid.points
 
-        def one(i, n=n, p=p, d=d, pts=pts):
-            s = sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i)
+        def one(s):
             out = []
             for z in pts:
                 g, m_n = green_at(s, z)
@@ -234,7 +257,7 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
                 out.append((snap.lam, snap.lambda_o / denom))
             return out
 
-        per_sample = _map_indexed(one, cfg.samples_per_n, cfg.threads)
+        per_sample = monte_carlo(cfg, n, one)
         med_by_e = {}
         for k, z in enumerate(pts):
             lams = [ps[k][0] for ps in per_sample]
@@ -312,15 +335,8 @@ def run_rigidity(cfg: ExperimentConfig) -> ExperimentReport:
     rows, fits, checks = [], {}, []
     med_edge, med_center = [], []
     for n in cfg.n_list:
-        p = cfg.make_profile(n)
-        d = cfg.entry_distribution()
         gamma = classical_locations(n)
-
-        def one(i, n=n, p=p, d=d, gamma=gamma):
-            s = sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i)
-            return rigidity_stats(s.eigenvalues(), gamma)
-
-        stats = _map_indexed(one, cfg.samples_per_n, cfg.threads)
+        stats = monte_carlo(cfg, n, lambda s: rigidity_stats(s.eigenvalues(), gamma))
         me = median([s["edge_dev"] for s in stats])
         mc = median([s["center_dev"] for s in stats])
         mb = median([s["bulk_max"] for s in stats])
@@ -359,14 +375,7 @@ def run_counting(cfg: ExperimentConfig) -> ExperimentReport:
     columns = ["n", "samples", "median_sup", "p95_sup", "sup_over_log2"]
     rows, checks = [], []
     for n in cfg.n_list:
-        p = cfg.make_profile(n)
-        d = cfg.entry_distribution()
-
-        def one(i, n=n, p=p, d=d):
-            s = sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i)
-            return counting_sup(s.eigenvalues())
-
-        sups = _map_indexed(one, cfg.samples_per_n, cfg.threads)
+        sups = monte_carlo(cfg, n, lambda s: counting_sup(s.eigenvalues()))
         med = median(sups)
         ratio = med / math.log(n) ** calib["polylog_exponent"]
         rows.append((n, len(sups), med, nearest_rank_quantile(sups, 0.95), ratio))
@@ -381,21 +390,13 @@ def run_counting(cfg: ExperimentConfig) -> ExperimentReport:
 # edge universality and extreme-eigenvalue bound
 
 
-def edge_samples(cfg: ExperimentConfig, dist_name: str, seed_salt: int) -> np.ndarray:
-    """N^(2/3)-rescaled top-k and bottom eigenvalue fluctuations per sample;
-    column 0 is the largest eigenvalue."""
-    n = cfg.n_list[-1]
-    p = cfg.make_profile(n)
-    d = from_name(dist_name)
-
-    def one(i):
-        s = sample_indexed(p, d, cfg.symmetry, cfg.master_seed + seed_salt, i)
-        eigs = s.eigenvalues()
-        top = n ** (2.0 / 3.0) * (eigs[-1 : -cfg.top_k - 1 : -1] - 2.0)
-        bottom = n ** (2.0 / 3.0) * (-eigs[0] - 2.0)
-        return np.concatenate([top, [bottom]])
-
-    return np.array(_map_indexed(one, cfg.samples_per_n, cfg.threads))
+def edge_fluctuations(eigs: np.ndarray, top_k: int) -> np.ndarray:
+    """N^(2/3)-rescaled fluctuations of the top_k largest eigenvalues and of
+    the smallest one; entry 0 is the largest eigenvalue."""
+    n = eigs.size
+    top = n ** (2.0 / 3.0) * (eigs[-1 : -top_k - 1 : -1] - 2.0)
+    bottom = n ** (2.0 / 3.0) * (-eigs[0] - 2.0)
+    return np.concatenate([top, [bottom]])
 
 
 def run_edge(cfg: ExperimentConfig) -> ExperimentReport:
@@ -412,8 +413,11 @@ def run_edge(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError(
             f"second moments of {cfg.distribution} and {cfg.distribution_b} differ"
         )
-    xa = edge_samples(cfg, cfg.distribution, seed_salt=0)
-    xb = edge_samples(cfg, cfg.distribution_b, seed_salt=1)
+    n = cfg.n_list[-1]
+    cfg_b = replace(cfg, distribution=cfg.distribution_b, master_seed=cfg.master_seed + 1)
+    fluct = lambda s: edge_fluctuations(s.eigenvalues(), cfg.top_k)
+    xa = np.array(monte_carlo(cfg, n, fluct))
+    xb = np.array(monte_carlo(cfg_b, n, fluct))
     stat, c5, c1 = ks_two_sample(xa[:, 0], xb[:, 0])
     stat_min, _, _ = ks_two_sample(xa[:, -1], xb[:, -1])
     alpha = calib["edge_alpha"]
@@ -441,16 +445,13 @@ def run_extreme_bound(cfg: ExperimentConfig) -> ExperimentReport:
     columns = ["n", "samples", "threshold", "exceedance_fraction"]
     rows, checks = [], []
     for n in cfg.n_list:
-        p = cfg.make_profile(n)
-        d = cfg.entry_distribution()
         thr = 2.0 + c * n ** (-2.0 / 3.0) * math.log(n) ** 1.5
 
-        def one(i, n=n, p=p, d=d, thr=thr):
-            s = sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i)
+        def exceeds(s):
             eigs = s.eigenvalues()
             return float(max(abs(eigs[0]), abs(eigs[-1])) >= thr)
 
-        flags = _map_indexed(one, cfg.samples_per_n, cfg.threads)
+        flags = monte_carlo(cfg, n, exceeds)
         frac = fmean(flags)
         rows.append((n, len(flags), thr, frac))
         checks.append(Check(
@@ -476,10 +477,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     reference = dbm.equilibrium_gap_reference(
         n, cfg.symmetry, cfg.reference_samples, ref_stream
     )
-    columns = [
-        "t", "ks", "n_gaps",
-        "offdiag_var_z", "diag_var_z",
-    ]
+    columns = ["t", "ks", "n_gaps", "offdiag_var_z", "diag_var_z"]
     rows = []
     ks_by_t = {}
     iu = np.triu_indices(n, k=1)

@@ -51,7 +51,6 @@ class GreenSnapshot:
     lambda_o: float
     lam: float
     psi: float
-    ward_residual_max: float
 
 
 def default_ell(n: int, a0: float = DEFAULT_A0) -> int:
@@ -59,23 +58,14 @@ def default_ell(n: int, a0: float = DEFAULT_A0) -> int:
     return max(1, math.ceil(a0 * math.log(math.log(n))))
 
 
-def eigen_factor(s: WignerSample):
-    """Cached spectral factorization; every later resolvent costs O(N^2+N^3 matmul)."""
-    return s.eigen_pair()
-
-
 def green_at(s: WignerSample, z: SpectralPoint):
-    """Full resolvent G = (H - z)^-1 and its normalized trace."""
-    w, u = eigen_factor(s)
+    """Full resolvent G = (H - z)^-1 and its normalized trace, from the
+    sample's cached spectral factorization."""
+    w, u = s.eigen_pair()
     inv = 1.0 / (w - z.z)
     g = (u * inv) @ u.conj().T
     m_n = complex(inv.mean())
     return g, m_n
-
-
-def green_diag(eigenvalues: np.ndarray, z: SpectralPoint) -> complex:
-    """m_N from eigenvalues alone (no eigenvectors needed)."""
-    return complex(np.mean(1.0 / (eigenvalues - z.z)))
 
 
 def ward_residual(g: np.ndarray, z: SpectralPoint, relative: bool = False) -> float:
@@ -111,7 +101,6 @@ def control_params(
         lambda_o=lambda_o,
         lam=lam,
         psi=psi,
-        ward_residual_max=ward_residual(g, z),
     )
 
 

@@ -129,3 +129,34 @@ def test_identical_invocations_identical_files(tmp_path):
                      "--out", str(out), "--quiet"]) == EXIT_OK
         outs.append((out / "counting.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+# Each config names one bad value; the run must stop when the config is
+# built (exit 64, nothing written), not fail halfway or run anyway.
+BAD_CONFIGS = [
+    ("counting", "symmetry = orthogonal"),
+    ("counting", "distribution = cauchy"),
+    ("counting", "distribution = two_point:1.5"),
+    ("counting", "distribution_b = cauchy"),
+    ("counting", "profile = band:w=wide"),
+    ("counting", "profile = band:w=0"),
+    ("counting", "profile = band:w=17"),
+    ("dbm-relax", "t_list = 0.5"),
+    ("dbm-relax", "t_list = -1.0,4.0"),
+    ("counting", "threads = 0"),
+    ("counting", "top_k = 0"),
+    ("edge", "distribution_b = rademacher\ntop_k = 40"),
+    ("counting", "n_list = 1"),
+    ("counting", "samples_per_n = two"),
+    ("counting", "allow_moment_mismatch = maybe"),
+]
+
+
+@pytest.mark.parametrize("command, lines", BAD_CONFIGS)
+def test_bad_config_fails_when_built(tmp_path, capsys, command, lines):
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text(f"n_list = 32\nsamples_per_n = 2\n{lines}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_file), "--out", str(out), "--quiet"]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()

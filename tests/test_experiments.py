@@ -9,10 +9,12 @@ from wignerlab.experiments import (
     ConfigError,
     ExperimentConfig,
     counting_sup,
+    edge_fluctuations,
     fmean,
     ks_two_sample,
     load_calibration,
     median,
+    monte_carlo,
     nearest_rank_quantile,
     rigidity_stats,
     run_counting,
@@ -22,6 +24,7 @@ from wignerlab.experiments import (
     run_rigidity,
     slope_fit,
 )
+from wignerlab.sampler import from_name, sample_indexed
 from wignerlab.semicircle import classical_locations, n_sc
 
 
@@ -177,3 +180,23 @@ def test_report_rerun_byte_identical(tmp_path):
 def test_check_dataclass():
     c = Check("x", True, "fine")
     assert c.passed and c.name == "x"
+
+
+def test_monte_carlo_matches_serial_draws():
+    base = dict(n_list=[40], samples_per_n=5, profile="band:w=8",
+                symmetry="hermitian", distribution="rademacher", master_seed=21)
+    p = ExperimentConfig(**base).make_profile(40)
+    d = from_name("rademacher")
+    stat = lambda s: s.eigenvalues()
+    want = [stat(sample_indexed(p, d, "hermitian", 21, i)) for i in range(5)]
+    for threads in (1, 3):
+        got = monte_carlo(ExperimentConfig(**base, threads=threads), 40, stat)
+        assert len(got) == len(want)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_edge_fluctuations():
+    eigs = np.array([-2.5, -1.0, 0.0, 1.5, 2.0, 3.0])
+    scale = 6 ** (2.0 / 3.0)
+    got = edge_fluctuations(eigs, 2)
+    assert got.tolist() == [scale * 1.0, scale * 0.0, scale * 0.5]

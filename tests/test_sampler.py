@@ -164,6 +164,27 @@ def test_lazy_eigendecomposition():
     assert np.allclose((u * w2) @ u.conj().T, s.h, atol=1e-10)
 
 
+def _reference_draw(d, rng, size):
+    """EntryDistribution.draw written with fresh arrays at every step."""
+    if d.law == "gaussian":
+        x = rng.standard_normal(size)
+    elif d.law == "rademacher":
+        x = rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+    elif d.law == "uniform":
+        x = (rng.random(size) * 2.0 - 1.0) * math.sqrt(3.0)
+    else:
+        x = np.where(rng.random(size) < d.p, d.a, d.b)
+    return x * d.scale
+
+
+@pytest.mark.parametrize("law", [gaussian(), rademacher(), uniform(), two_point(0.3),
+                                 gaussian(1.5), rademacher(-0.5), uniform(0.25)])
+def test_draw_matches_fresh_array_formulation(law):
+    got = law.draw(derive_stream(3, 0), 1001)
+    want = _reference_draw(law, derive_stream(3, 0), 1001)
+    assert got.tobytes() == want.tobytes()
+
+
 def _reference_matrix(p, d, symmetry, stream):
     """Full-matrix formulation: scatter through triu_indices, then h + h^H."""
     n = p.n
