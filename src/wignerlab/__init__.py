@@ -45,7 +45,7 @@ from .resolvent import (
     ward_residual,
     xi_quantities,
 )
-from .dbm import FlowState, GapSample, gap_distribution, ou_endpoint, ou_path
+from .dbm import gap_distribution, ou_endpoint, ou_path
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,

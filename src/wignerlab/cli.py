@@ -114,8 +114,14 @@ def cmd_check_profile(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise ConfigError(f"{flag} {value} < {low}")
+    return value
+
+
 def cmd_gamma_table(args) -> int:
-    gamma = classical_locations(args.n_dim)
+    gamma = classical_locations(_at_least("--n", args.n_dim, 1))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "gamma.csv"
@@ -130,11 +136,12 @@ def cmd_gamma_table(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    n = args.n_dim
-    rng = derive_stream(args.seed if args.seed is not None else 1, 0)
+    n = _at_least("--n", args.n_dim, 3)  # three distinct indices i, j, k
+    samples = _at_least("--samples", args.samples, 1)
+    rng = derive_stream(args.seed, 0)
     p = profile_mod.flat_profile(n)
     worst = [0.0] * 5
-    for trial in range(args.samples if args.samples else 200):
+    for trial in range(samples):
         sym = SYMMETRIC if trial % 2 else HERMITIAN
         s = sample_matrix(p, gaussian(), sym, rng)
         z = SpectralPoint(float(rng.uniform(-3, 3)), float(10 ** rng.uniform(-2, 1)))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,30 +22,6 @@ class FlowError(ValueError):
 
 class SampleSizeError(ValueError):
     pass
-
-
-@dataclass
-class FlowState:
-    """One point of a matrix trajectory under the OU flow."""
-
-    t: float
-    h: np.ndarray
-    initial_profile: VarianceProfile
-    path_mode: str  # exact_ou | euler
-
-    def expected_variance(self) -> np.ndarray:
-        n = self.initial_profile.n
-        return math.exp(-self.t) * self.initial_profile.sigma2 + (
-            1.0 - math.exp(-self.t)
-        ) / n
-
-
-@dataclass(frozen=True)
-class GapSample:
-    """Unfolded nearest-neighbor spacings inside a bulk energy window."""
-
-    gaps: np.ndarray
-    window: tuple[float, float]  # (center, half_width)
 
 
 @functools.lru_cache(maxsize=1)
@@ -122,9 +97,10 @@ def ou_path(
     return out
 
 
-def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> GapSample:
-    """Spacings inside the window, unfolded by the local semicircle density:
-    each gap lambda_{j+1} - lambda_j is multiplied by N rho_sc(lambda_j)."""
+def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Spacings inside the window (center, half_width), unfolded by the local
+    semicircle density: each gap lambda_{j+1} - lambda_j is multiplied by
+    N rho_sc(lambda_j)."""
     center, half_width = window
     eigs = np.sort(np.asarray(eigs))
     n = eigs.size
@@ -141,8 +117,7 @@ def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> GapSample
     x = lam[:-1]
     t = 4.0 - x * x
     rho = np.where(t > 0.0, np.sqrt(np.maximum(t, 0.0)) / (2.0 * math.pi), 0.0)
-    unfolded = raw * n * rho
-    return GapSample(gaps=unfolded, window=window)
+    return raw * n * rho
 
 
 def equilibrium_gap_reference(
@@ -157,5 +132,5 @@ def equilibrium_gap_reference(
     p = _flat(n)
     for _ in range(samples):
         s = sample_matrix(p, gaussian(), symmetry, stream)
-        pools.append(gap_distribution(s.eigenvalues(), window).gaps)
+        pools.append(gap_distribution(s.eigenvalues(), window))
     return np.concatenate(pools)

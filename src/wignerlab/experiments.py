@@ -64,11 +64,17 @@ class ExperimentConfig:
                 from_name(self.distribution_b)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        w = _band_width(self.profile)
-        if w is not None and not 1 <= w <= self.n_list[0] // 2:
-            raise ConfigError(f"band width {w} outside [1, {self.n_list[0] // 2}]")
+        _band_width(self.profile, self.n_list[0])
+        if not self.e_values:
+            raise ConfigError("e_values must name at least one energy")
+        if self.eta_count < 3:
+            raise ConfigError(f"eta_count {self.eta_count} < 3, too few points for a slope fit")
+        if not self.eta_min_exponent < 0:
+            raise ConfigError(f"eta_min_exponent {self.eta_min_exponent} must be < 0")
         if self.t_list is not None and (len(self.t_list) < 2 or min(self.t_list) < 0):
             raise ConfigError(f"t_list {self.t_list} needs >= 2 nonnegative times")
+        if self.reference_samples < 1:
+            raise ConfigError("reference_samples must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if not 1 <= self.top_k <= self.n_list[-1]:
@@ -78,17 +84,22 @@ class ExperimentConfig:
         return profile_from_spec(self.profile, n)
 
 
-def _band_width(spec: str) -> int | None:
-    """Width w of a `band:w=<int>` profile spec; None for `flat`."""
+def _band_width(spec: str, n: int) -> int | None:
+    """Width w of a `band:w=<int>` profile spec, checked against dimension n;
+    None for `flat`."""
     head, _, w = spec.partition("=")
     if spec != "flat" and not (head == "band:w" and w.isdecimal()):
         raise ConfigError(f"unknown profile spec {spec!r}")
+    if n < 2:
+        raise ConfigError(f"dimension {n} < 2")
+    if w and not 1 <= int(w) <= n // 2:
+        raise ConfigError(f"band width {w} outside [1, {n // 2}]")
     return int(w) if w else None
 
 
 def profile_from_spec(spec: str, n: int) -> VarianceProfile:
     """The profile a `flat` or `band:w=<int>` spec names at dimension n."""
-    w = _band_width(spec)
+    w = _band_width(spec, n)
     if w is None:
         return flat_profile(n)
     return band_profile(n, w, lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
@@ -486,7 +497,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             stream = derive_stream(cfg.master_seed, ti * 10**5 + i)
             ht = dbm.ou_endpoint(h0, t, cfg.symmetry, stream)
             eigs = np.linalg.eigvalsh(ht)
-            gaps = dbm.gap_distribution(eigs, (0.0, 1.0)).gaps
+            gaps = dbm.gap_distribution(eigs, (0.0, 1.0))
             off_mean = float(np.mean(np.abs(ht[iu]) ** 2)) * n
             diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
             return gaps, off_mean, diag_dev

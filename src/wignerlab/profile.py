@@ -2,13 +2,13 @@
 
 A profile is the N x N matrix of entry variances.  Valid profiles are
 symmetric, doubly stochastic (every column sums to 1) and have all entries
-bounded by c0/N.
+bounded by c/N.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,6 @@ class VarianceProfile:
     n: int
     sigma2: np.ndarray
     kind: str
-    c0: float
-    _hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.sigma2
@@ -47,8 +45,6 @@ class VarianceProfile:
                 f"column {bad} sums to {col[bad]!r}, not doubly stochastic"
             )
         self.sigma2.flags.writeable = False
-        digest = hashlib.sha256(np.ascontiguousarray(s)).hexdigest()[:16]
-        object.__setattr__(self, "_hash", digest)
 
     @property
     def c_inf(self) -> float:
@@ -59,7 +55,8 @@ class VarianceProfile:
         return float(self.n * self.sigma2.max())
 
     def content_hash(self) -> str:
-        return self._hash
+        """SHA-256 of sigma2's bytes, first 16 hex digits."""
+        return hashlib.sha256(np.ascontiguousarray(self.sigma2)).hexdigest()[:16]
 
     def save_txt(self, path) -> None:
         np.savetxt(path, self.sigma2, fmt="%.17g")
@@ -82,7 +79,7 @@ def flat_profile(n: int) -> VarianceProfile:
     """Uniform profile sigma2_ij = 1/n (the standard Wigner case)."""
     if n < 2:
         raise ProfileError(f"dimension {n} < 2")
-    return VarianceProfile(n=n, sigma2=np.full((n, n), 1.0 / n), kind="flat", c0=1.0)
+    return VarianceProfile(n=n, sigma2=np.full((n, n), 1.0 / n), kind="flat")
 
 
 def band_profile(n: int, w: int, f) -> VarianceProfile:
@@ -109,8 +106,7 @@ def band_profile(n: int, w: int, f) -> VarianceProfile:
     d = (idx[:, None] - idx[None, :]) % n
     d = np.where(d > n / 2, d - n, d)  # symmetric representative in (-n/2, n/2]
     sigma2 = weights[np.searchsorted(offsets, d)]
-    c0 = float(n * sigma2.max())
-    return VarianceProfile(n=n, sigma2=sigma2, kind="band", c0=c0)
+    return VarianceProfile(n=n, sigma2=sigma2, kind="band")
 
 
 def symmetric_offsets(n: int) -> np.ndarray:
@@ -145,8 +141,7 @@ def custom_profile(sigma2: np.ndarray) -> VarianceProfile:
     s = 0.5 * (s + s.T)
     s /= s.sum(axis=0, keepdims=True)
     s = 0.5 * (s + s.T)
-    c0 = float(n * s.max())
-    return VarianceProfile(n=n, sigma2=s, kind="custom", c0=c0)
+    return VarianceProfile(n=n, sigma2=s, kind="custom")
 
 
 def assumption_report(p: VarianceProfile) -> AssumptionReport:

@@ -87,7 +87,8 @@ def control_params(
     msc = m_sc(z)
     diag = np.diag(g)
     lambda_d = float(np.abs(diag - msc).max())
-    off = np.abs(g - np.diag(diag))
+    off = np.abs(g)
+    np.fill_diagonal(off, 0.0)
     lambda_o = float(off.max()) if n > 1 else 0.0
     m_n = complex(diag.mean())
     lam = abs(m_n - msc)

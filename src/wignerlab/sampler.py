@@ -30,7 +30,6 @@ class EntryDistribution:
     a: float = 0.0
     b: float = 0.0
     p: float = 0.0
-    theta: float = 1.0  # tail decay parameter, informational only
     scale: float = 1.0  # deliberate de-standardization, for negative controls
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -65,15 +64,15 @@ class EntryDistribution:
 
 
 def gaussian(scale: float = 1.0) -> EntryDistribution:
-    return EntryDistribution(law="gaussian", theta=2.0, scale=scale)
+    return EntryDistribution(law="gaussian", scale=scale)
 
 
 def rademacher(scale: float = 1.0) -> EntryDistribution:
-    return EntryDistribution(law="rademacher", theta=2.0, scale=scale)
+    return EntryDistribution(law="rademacher", scale=scale)
 
 
 def uniform(scale: float = 1.0) -> EntryDistribution:
-    return EntryDistribution(law="uniform", theta=2.0, scale=scale)
+    return EntryDistribution(law="uniform", scale=scale)
 
 
 def two_point(p: float) -> EntryDistribution:
@@ -82,7 +81,7 @@ def two_point(p: float) -> EntryDistribution:
         raise DistributionError(f"p={p} outside (0, 1)")
     a = math.sqrt((1.0 - p) / p)
     b = -math.sqrt(p / (1.0 - p))
-    return EntryDistribution(law="two_point", a=a, b=b, p=p, theta=1.0)
+    return EntryDistribution(law="two_point", a=a, b=b, p=p)
 
 
 def from_name(name: str) -> EntryDistribution:
@@ -96,23 +95,12 @@ def from_name(name: str) -> EntryDistribution:
     raise DistributionError(f"unknown distribution name {name!r}")
 
 
-@dataclass(frozen=True)
-class Provenance:
-    master_seed: int
-    sample_index: int
-    law: str
-    profile_hash: str
-    symmetry: str
-
-
 @dataclass
 class WignerSample:
     """A realized matrix with a lazily computed eigendecomposition cache."""
 
     h: np.ndarray
     profile: VarianceProfile
-    symmetry: str
-    provenance: Provenance
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
     _eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
@@ -149,7 +137,6 @@ def sample_matrix(
     d: EntryDistribution,
     symmetry: str,
     stream: np.random.Generator,
-    provenance: Provenance | None = None,
 ) -> WignerSample:
     """Draw one matrix with E h_ij = 0 and E |h_ij|^2 = sigma2_ij * scale^2.
 
@@ -176,9 +163,7 @@ def sample_matrix(
         o += k
     _mirror_upper(h)
     np.fill_diagonal(h, d.draw(stream, n) * np.sqrt(np.diagonal(p.sigma2)))
-    if provenance is None:
-        provenance = Provenance(-1, -1, d.law, p.content_hash(), symmetry)
-    return WignerSample(h=h, profile=p, symmetry=symmetry, provenance=provenance)
+    return WignerSample(h=h, profile=p)
 
 
 _MIRROR_BLOCK = 64
@@ -213,9 +198,8 @@ def _mirror_upper(h: np.ndarray) -> None:
 
 
 def sample_indexed(p, d, symmetry, master_seed: int, sample_index: int) -> WignerSample:
-    stream = derive_stream(master_seed, sample_index)
-    prov = Provenance(master_seed, sample_index, d.law, p.content_hash(), symmetry)
-    return sample_matrix(p, d, symmetry, stream, provenance=prov)
+    """Sample `sample_index` of the ensemble, drawn from its own stream."""
+    return sample_matrix(p, d, symmetry, derive_stream(master_seed, sample_index))
 
 
 @dataclass(frozen=True)

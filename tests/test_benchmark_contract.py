@@ -1,0 +1,58 @@
+"""The names the benchmark's tracer binds must exist in the library.
+
+`perfbench/tracer.py` wraps library functions by name at run time, and its
+`install()` raises when one is gone. These checks catch a rename or a
+dead-code deletion here, without running the benchmark.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import json
+from pathlib import Path
+
+from wignerlab import experiments
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_extra_names_exist():
+    for layer, cls, attr, _ in _tracer()._EXTRA:
+        owner = importlib.import_module(f"wignerlab.{layer}")
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert inspect.isfunction(getattr(owner, attr, None)), (layer, cls, attr)
+
+
+def test_tracer_wraps_map_and_runners():
+    assert inspect.isfunction(experiments._map_indexed)
+    assert experiments.RUNNERS
+    for name, fn in experiments.RUNNERS.items():
+        assert inspect.isfunction(fn) and fn.__module__ == "wignerlab.experiments", name
+
+
+def test_per_layer_metrics_name_existing_spans():
+    """Each `<layer>.<function>` span a per-layer metric reads is a public
+    function of that module, or a name the tracer adds by hand."""
+    tracer = _tracer()
+    extra = {span for *_, span in tracer._EXTRA} | {tracer.RUNNER}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    for metric in (m["name"] for m in metrics):
+        parts = metric.split(".")[:-1]  # drop the statistic
+        if parts and parts[-1][:1] == "n" and parts[-1][1:].isdigit():
+            parts = parts[:-1]  # drop the per-N key
+        if len(parts) != 2 or parts[0] not in tracer.LAYERS or parts[0] == "linalg":
+            continue
+        span = ".".join(parts)
+        if span in extra:
+            continue
+        mod = importlib.import_module(f"wignerlab.{parts[0]}")
+        fn = getattr(mod, parts[1], None)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, metric

@@ -61,6 +61,20 @@ def test_gamma_table(tmp_path, capsys):
     assert float(rows[-1][1]) == 2.0
 
 
+@pytest.mark.parametrize("argv", [
+    "check-profile --profile band:w=40 --n 64",
+    "check-profile --n 1",
+    "gamma-table --n 0",
+    "identities --n 2",
+    "identities --samples 0",
+])
+def test_utility_bad_input_is_config_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_profile(capsys):
     assert main(["check-profile", "--profile", "flat", "--n", "16"]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
@@ -149,6 +163,10 @@ BAD_CONFIGS = [
     ("counting", "n_list = 1"),
     ("counting", "samples_per_n = two"),
     ("counting", "allow_moment_mismatch = maybe"),
+    ("lsc", "eta_count = 2"),
+    ("lsc", "e_values ="),
+    ("lsc", "eta_min_exponent = 0"),
+    ("dbm-relax", "n_list = 256\nreference_samples = 0"),
 ]
 
 

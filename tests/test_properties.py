@@ -1,0 +1,78 @@
+"""Property-based tests (hypothesis) of the semicircle transform and of the
+config file round trip."""
+
+import argparse
+import dataclasses
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from wignerlab.cli import build_config, read_config  # noqa: E402
+from wignerlab.experiments import ExperimentConfig  # noqa: E402
+from wignerlab.semicircle import m_sc  # noqa: E402
+
+# the spectral window of semicircle.SpectralGrid: |E| <= 5, 0 < eta <= 10
+window = st.builds(complex, st.floats(-5.0, 5.0), st.floats(1e-9, 10.0))
+
+
+@settings(deadline=None)
+@given(window)
+def test_msc_is_the_upper_root(z):
+    m = m_sc(z)
+    assert m.imag > 0
+    assert abs(m) <= 1.0
+    scale = abs(m) ** 2 + abs(z * m) + 1.0
+    assert abs(m * m + z * m + 1.0) <= 1e-12 * scale
+
+
+DISTRIBUTIONS = ["gaussian", "rademacher", "uniform", "two_point:0.25", "gaussian:scale=1.5"]
+
+
+@st.composite
+def configs(draw):
+    n_list = sorted(draw(st.lists(st.integers(2, 4096), min_size=1, max_size=4)))
+    maybe = lambda s: st.none() | s
+    return ExperimentConfig(
+        n_list=n_list,
+        samples_per_n=draw(st.integers(1, 1000)),
+        profile=draw(st.just("flat") | st.integers(1, n_list[0] // 2).map("band:w={}".format)),
+        distribution=draw(st.sampled_from(DISTRIBUTIONS)),
+        distribution_b=draw(maybe(st.sampled_from(DISTRIBUTIONS))),
+        symmetry=draw(st.sampled_from(["symmetric", "hermitian"])),
+        master_seed=draw(st.integers(0, 2**32)),
+        e_values=draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3)),
+        eta_count=draw(st.integers(3, 50)),
+        eta_min_exponent=draw(st.floats(-1.0, -1e-3)),
+        l_param=draw(maybe(st.floats(0.01, 1.0))),
+        top_k=draw(st.integers(1, n_list[-1])),
+        extreme_c=draw(maybe(st.floats(0.1, 10.0))),
+        allow_moment_mismatch=draw(st.booleans()),
+        t_list=draw(maybe(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5))),
+        reference_samples=draw(st.integers(1, 1000)),
+        threads=draw(st.integers(1, 8)),
+    )
+
+
+def _render(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(_render(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(deadline=None)
+@given(configs())
+def test_config_file_round_trip(cfg):
+    lines = [f"experiment.{f.name} = {_render(getattr(cfg, f.name))}"
+             for f in dataclasses.fields(cfg) if getattr(cfg, f.name) is not None]
+    no_flags = argparse.Namespace(n=None, samples=None, seed=None, threads=None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.conf"
+        path.write_text("\n".join(lines) + "\n")
+        assert build_config(read_config(str(path)), no_flags) == cfg

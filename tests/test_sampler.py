@@ -8,7 +8,6 @@ from wignerlab.sampler import (
     HERMITIAN,
     SYMMETRIC,
     DistributionError,
-    Provenance,
     WignerSample,
     derive_stream,
     from_name,
@@ -242,7 +241,6 @@ def test_sample_matrix_matches_full_matrix_formulation(kind, symmetry, n):
 def test_non_finite_spectrum_raises(method):
     h = np.eye(4)
     h[0, 1] = h[1, 0] = np.inf
-    p = flat_profile(4)
-    s = WignerSample(h, p, SYMMETRIC, Provenance(-1, -1, "gaussian", p.content_hash(), SYMMETRIC))
+    s = WignerSample(h, flat_profile(4))
     with pytest.raises(FloatingPointError):
         getattr(s, method)()
