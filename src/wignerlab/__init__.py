@@ -16,8 +16,6 @@ from .sampler import (
     WignerSample,
     derive_stream,
     gaussian,
-    moment_report,
-    moments_match,
     rademacher,
     sample_indexed,
     sample_matrix,

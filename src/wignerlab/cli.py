@@ -138,7 +138,7 @@ def cmd_gamma_table(args) -> int:
 def cmd_identities(args) -> int:
     n = _at_least("--n", args.n_dim, 3)  # three distinct indices i, j, k
     samples = _at_least("--samples", args.samples, 1)
-    rng = derive_stream(args.seed, 0)
+    rng = derive_stream(_at_least("--seed", args.seed, 0), 0)
     p = profile_mod.flat_profile(n)
     worst = [0.0] * 5
     for trial in range(samples):

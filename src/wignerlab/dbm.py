@@ -14,6 +14,7 @@ import numpy as np
 
 from .profile import VarianceProfile, flat_profile
 from .sampler import WignerSample, gaussian, sample_matrix
+from .semicircle import rho_sc
 
 
 class FlowError(ValueError):
@@ -83,10 +84,7 @@ def ou_path(
     for t in t_grid:
         delta = t - prev
         if mode == "exact_ou":
-            if delta > 0:
-                h = math.exp(-delta / 2.0) * h + math.sqrt(
-                    1.0 - math.exp(-delta)
-                ) * _noise(n, symmetry, stream)
+            h = ou_endpoint(h, delta, symmetry, stream)
         else:
             steps = max(1, round(delta / euler_dt)) if delta > 0 else 0
             dt = delta / steps if steps else 0.0
@@ -112,12 +110,7 @@ def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> np.ndarra
         )
     lo, hi = idx[0], idx[-1]
     lam = eigs[lo : hi + 1]
-    raw = np.diff(lam)
-    # semicircle.rho_sc, element-wise with the same operations
-    x = lam[:-1]
-    t = 4.0 - x * x
-    rho = np.where(t > 0.0, np.sqrt(np.maximum(t, 0.0)) / (2.0 * math.pi), 0.0)
-    return raw * n * rho
+    return np.diff(lam) * n * rho_sc(lam[:-1])
 
 
 def equilibrium_gap_reference(

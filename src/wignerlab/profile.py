@@ -26,14 +26,13 @@ class ProfileError(ValueError):
 class VarianceProfile:
     """Immutable matrix of entry variances with assumption metadata."""
 
-    n: int
     sigma2: np.ndarray
     kind: str
 
     def __post_init__(self):
         s = self.sigma2
-        if s.shape != (self.n, self.n):
-            raise ProfileError(f"sigma2 shape {s.shape} != ({self.n}, {self.n})")
+        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+            raise ProfileError(f"sigma2 shape {s.shape} is not square")
         if np.any(s < 0):
             raise ProfileError("negative variance entry")
         if np.max(np.abs(s - s.T)) > SYMMETRY_TOL:
@@ -45,6 +44,10 @@ class VarianceProfile:
                 f"column {bad} sums to {col[bad]!r}, not doubly stochastic"
             )
         self.sigma2.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.sigma2.shape[0]
 
     @property
     def c_inf(self) -> float:
@@ -79,7 +82,7 @@ def flat_profile(n: int) -> VarianceProfile:
     """Uniform profile sigma2_ij = 1/n (the standard Wigner case)."""
     if n < 2:
         raise ProfileError(f"dimension {n} < 2")
-    return VarianceProfile(n=n, sigma2=np.full((n, n), 1.0 / n), kind="flat")
+    return VarianceProfile(sigma2=np.full((n, n), 1.0 / n), kind="flat")
 
 
 def band_profile(n: int, w: int, f) -> VarianceProfile:
@@ -106,7 +109,7 @@ def band_profile(n: int, w: int, f) -> VarianceProfile:
     d = (idx[:, None] - idx[None, :]) % n
     d = np.where(d > n / 2, d - n, d)  # symmetric representative in (-n/2, n/2]
     sigma2 = weights[np.searchsorted(offsets, d)]
-    return VarianceProfile(n=n, sigma2=sigma2, kind="band")
+    return VarianceProfile(sigma2=sigma2, kind="band")
 
 
 def symmetric_offsets(n: int) -> np.ndarray:
@@ -141,7 +144,7 @@ def custom_profile(sigma2: np.ndarray) -> VarianceProfile:
     s = 0.5 * (s + s.T)
     s /= s.sum(axis=0, keepdims=True)
     s = 0.5 * (s + s.T)
-    return VarianceProfile(n=n, sigma2=s, kind="custom")
+    return VarianceProfile(sigma2=s, kind="custom")
 
 
 def assumption_report(p: VarianceProfile) -> AssumptionReport:

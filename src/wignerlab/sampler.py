@@ -27,10 +27,18 @@ class EntryDistribution:
     """Standardized (mean 0, variance 1) entry law with sub-exponential tails."""
 
     law: str
-    a: float = 0.0
-    b: float = 0.0
-    p: float = 0.0
+    p: float = 0.0  # two_point: probability of the value a
     scale: float = 1.0  # deliberate de-standardization, for negative controls
+
+    @property
+    def a(self) -> float:
+        """two_point: the value taken with probability p."""
+        return math.sqrt((1.0 - self.p) / self.p)
+
+    @property
+    def b(self) -> float:
+        """two_point: the value taken with probability 1 - p."""
+        return -math.sqrt(self.p / (1.0 - self.p))
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.law == "gaussian":
@@ -79,9 +87,7 @@ def two_point(p: float) -> EntryDistribution:
     """Asymmetric two-point law with mean 0 and variance 1."""
     if not 0.0 < p < 1.0:
         raise DistributionError(f"p={p} outside (0, 1)")
-    a = math.sqrt((1.0 - p) / p)
-    b = -math.sqrt(p / (1.0 - p))
-    return EntryDistribution(law="two_point", a=a, b=b, p=p)
+    return EntryDistribution(law="two_point", p=p)
 
 
 def from_name(name: str) -> EntryDistribution:
@@ -200,46 +206,3 @@ def _mirror_upper(h: np.ndarray) -> None:
 def sample_indexed(p, d, symmetry, master_seed: int, sample_index: int) -> WignerSample:
     """Sample `sample_index` of the ensemble, drawn from its own stream."""
     return sample_matrix(p, d, symmetry, derive_stream(master_seed, sample_index))
-
-
-@dataclass(frozen=True)
-class MomentRow:
-    order: int
-    empirical: float
-    stderr: float
-
-
-def moment_report(
-    d: EntryDistribution, k: int, m: int, stream: np.random.Generator
-) -> list[MomentRow]:
-    """Empirical moments E x^j for j <= k with Monte Carlo standard errors."""
-    if k > 8:
-        raise ValueError(f"max order {k} > 8")
-    if m < 10**4:
-        raise ValueError(f"sample count {m} < 1e4")
-    x = d.draw(stream, m)
-    rows = []
-    for j in range(1, k + 1):
-        xj = x**j
-        mean = float(xj.mean())
-        stderr = float(xj.std(ddof=1) / math.sqrt(m))
-        rows.append(MomentRow(order=j, empirical=mean, stderr=stderr))
-    return rows
-
-
-def moments_match(
-    rep_a: list[MomentRow], rep_b: list[MomentRow], order: int, n_sigma: float = 4.0
-) -> bool:
-    """Whether the two empirical moment tables agree up to ``order``.
-
-    Symmetric and reflexive: agreement means every |difference| is within
-    n_sigma combined standard errors (with a tiny absolute floor for
-    exact-zero moments).
-    """
-    for ra, rb in zip(rep_a, rep_b):
-        if ra.order > order:
-            break
-        se = math.hypot(ra.stderr, rb.stderr)
-        if abs(ra.empirical - rb.empirical) > n_sigma * se + 1e-12:
-            return False
-    return True

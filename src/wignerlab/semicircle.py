@@ -94,10 +94,9 @@ def m_sc(z) -> complex:
     return complex(1.0 / q)
 
 
-def rho_sc(e: float) -> float:
-    """Semicircle density (2*pi)^-1 * sqrt((4 - e^2)_+)."""
-    t = 4.0 - e * e
-    return math.sqrt(t) / (2.0 * math.pi) if t > 0.0 else 0.0
+def rho_sc(e):
+    """Semicircle density (2*pi)^-1 * sqrt((4 - e^2)_+), element-wise."""
+    return np.sqrt(np.maximum(4.0 - e * e, 0.0)) / (2.0 * math.pi)
 
 
 def n_sc(e: float) -> float:

@@ -67,6 +67,7 @@ def test_gamma_table(tmp_path, capsys):
     "gamma-table --n 0",
     "identities --n 2",
     "identities --samples 0",
+    "identities --seed -1",
 ])
 def test_utility_bad_input_is_config_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -167,6 +168,8 @@ BAD_CONFIGS = [
     ("lsc", "e_values ="),
     ("lsc", "eta_min_exponent = 0"),
     ("dbm-relax", "n_list = 256\nreference_samples = 0"),
+    ("counting", "master_seed = -1"),
+    ("dbm-relax", "n_list = 64"),  # too few eigenvalues in the gap window
 ]
 
 

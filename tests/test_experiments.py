@@ -135,6 +135,26 @@ def test_edge_rejects_moment_mismatch():
         run_edge(cfg)
 
 
+@pytest.mark.parametrize("law_b", ["rademacher", "uniform", "two_point:0.3"])
+def test_edge_accepts_matched_moments(law_b):
+    cfg = ExperimentConfig(n_list=[32], samples_per_n=2,
+                           distribution="gaussian", distribution_b=law_b)
+    assert len(run_edge(cfg).rows) == 4
+
+
+def test_edge_rejects_one_percent_rescaled_law():
+    # second moments 1 and 1.0201; an empirical 4-SE test on 10^5 draws per
+    # law cannot tell them apart (it accepted this pair at seed 20240901)
+    cfg = ExperimentConfig(
+        n_list=[32], samples_per_n=2, master_seed=20240901,
+        distribution="gaussian", distribution_b="gaussian:scale=1.01",
+    )
+    with pytest.raises(ConfigError):
+        run_edge(cfg)
+    cfg.allow_moment_mismatch = True
+    assert len(run_edge(cfg).rows) == 4
+
+
 def test_extreme_monotone_in_c():
     base = dict(n_list=[64], samples_per_n=50)
     fracs = []

@@ -5,6 +5,7 @@ import pytest
 
 from wignerlab.profile import (
     ProfileError,
+    VarianceProfile,
     assumption_report,
     band_profile,
     custom_profile,
@@ -128,6 +129,13 @@ def test_txt_roundtrip(tmp_path):
     p.save_txt(path)
     q = load_txt(path)
     assert np.allclose(p.sigma2, q.sigma2, atol=1e-12)
+
+
+def test_profile_rejects_non_square_sigma2():
+    for shape in [(3, 4), (4,), (2, 2, 2)]:
+        with pytest.raises(ProfileError):
+            VarianceProfile(sigma2=np.full(shape, 0.25), kind="custom")
+    assert VarianceProfile(sigma2=np.full((4, 4), 0.25), kind="custom").n == 4
 
 
 def test_profile_immutable():

@@ -12,8 +12,6 @@ from wignerlab.sampler import (
     derive_stream,
     from_name,
     gaussian,
-    moment_report,
-    moments_match,
     rademacher,
     sample_indexed,
     sample_matrix,
@@ -85,46 +83,6 @@ def test_stream_schedule_invariance():
     for i in reversed(range(4)):
         again = sample_indexed(p, gaussian(), SYMMETRIC, 11, i).h
         assert np.array_equal(direct[i], again)
-
-
-def test_moment_report_rademacher():
-    rep = moment_report(rademacher(), 4, 10**4, derive_stream(5, 0))
-    assert rep[0].empirical == pytest.approx(0.0, abs=4 * max(rep[0].stderr, 1e-12))
-    assert rep[1].empirical == 1.0
-    assert rep[3].empirical == 1.0
-
-
-def test_moment_report_preconditions():
-    with pytest.raises(ValueError):
-        moment_report(gaussian(), 9, 10**4, derive_stream(0, 0))
-    with pytest.raises(ValueError):
-        moment_report(gaussian(), 4, 100, derive_stream(0, 0))
-
-
-def test_gaussian_vs_rademacher_matching():
-    rng = derive_stream(6, 0)
-    a = moment_report(gaussian(), 4, 10**5, rng)
-    b = moment_report(rademacher(), 4, 10**5, rng)
-    assert moments_match(a, b, order=2)
-    assert not moments_match(a, b, order=4)  # 4th moments are 3 vs 1
-
-
-def test_two_point_matches_gaussian_at_order_two():
-    rng = derive_stream(6, 1)
-    a = moment_report(gaussian(), 4, 10**5, rng)
-    b = moment_report(two_point(0.3), 4, 10**5, rng)
-    assert moments_match(a, b, order=2)
-    assert not moments_match(a, b, order=4)
-
-
-def test_matching_symmetric_reflexive():
-    rng = derive_stream(6, 2)
-    a = moment_report(gaussian(), 4, 10**4, rng)
-    b = moment_report(rademacher(), 4, 10**4, rng)
-    for order in (2, 4):
-        assert moments_match(a, a, order)
-        assert moments_match(b, b, order)
-        assert moments_match(a, b, order) == moments_match(b, a, order)
 
 
 @pytest.mark.parametrize("law", [gaussian(), rademacher(), uniform(), two_point(0.2)])

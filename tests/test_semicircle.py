@@ -63,6 +63,18 @@ def test_rho_values():
     assert rho_sc(3.0) == 0.0
 
 
+def test_rho_array_matches_scalar_formula_bitwise():
+    e = np.array([-1e3, -3.0, -2.0 - 1e-15, -2.0, -1.3, -0.0, 0.0, 0.7,
+                  2.0 - 1e-15, 2.0, 2.5, np.inf])
+    got = rho_sc(e)
+    assert got.shape == e.shape
+    for x, g in zip(e.tolist(), got):
+        t = 4.0 - x * x
+        want = math.sqrt(t) / (2.0 * math.pi) if t > 0.0 else 0.0
+        assert np.float64(want).tobytes() == g.tobytes()
+        assert np.float64(rho_sc(x)).tobytes() == g.tobytes()
+
+
 def test_nsc_endpoints():
     assert n_sc(-2.0) == 0.0
     assert n_sc(0.0) == pytest.approx(0.5, abs=1e-15)
