@@ -16,6 +16,7 @@ SYMMETRY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-12
 CUSTOM_TOL = 1e-10
 SIMPLE_EIG_TOL = 1e-8
+_SYMMETRY_BLOCK = 128  # block edge of the symmetry check; fastest of 64..512 at N = 2048
 
 
 class ProfileError(ValueError):
@@ -33,11 +34,15 @@ class VarianceProfile:
         s = self.sigma2
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ProfileError(f"sigma2 shape {s.shape} is not square")
-        if np.any(s < 0):
-            raise ProfileError("negative variance entry")
-        if np.max(np.abs(s - s.T)) > SYMMETRY_TOL:
-            raise ProfileError("sigma2 not symmetric")
         col = s.sum(axis=0)
+        # a NaN or infinite entry makes its column sum NaN or infinite; NaN
+        # would otherwise pass every comparison below
+        if not np.all(np.isfinite(col)):
+            raise ProfileError("non-finite variance entry or column sum")
+        if s.min() < 0:
+            raise ProfileError("negative variance entry")
+        if not _symmetric(s, SYMMETRY_TOL):
+            raise ProfileError("sigma2 not symmetric")
         bad = np.argmax(np.abs(col - 1.0))
         if abs(col[bad] - 1.0) > STOCHASTIC_TOL:
             raise ProfileError(
@@ -63,6 +68,23 @@ class VarianceProfile:
 
     def save_txt(self, path) -> None:
         np.savetxt(path, self.sigma2, fmt="%.17g")
+
+
+def _symmetric(s: np.ndarray, tol: float) -> bool:
+    """max |s_ij - s_ji| <= tol, compared one block pair at a time so that no
+    N x N temporary is built; |a - b| = |b - a| exactly, so visiting only
+    the blocks on and above the diagonal gives the full-matrix verdict."""
+    n = s.shape[0]
+    b = _SYMMETRY_BLOCK
+    buf = np.empty((min(b, n), min(b, n)))
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            upper = s[i:i + b, j:j + b]
+            d = buf[:upper.shape[0], :upper.shape[1]]
+            np.subtract(upper, s[j:j + b, i:i + b].T, out=d)
+            if np.abs(d, out=d).max() > tol:
+                return False
+    return True
 
 
 @dataclass(frozen=True)

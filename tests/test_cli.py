@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +63,23 @@ def test_gamma_table(tmp_path, capsys):
     assert rows[0] == ["j", "gamma_j"]
     assert len(rows) == 11
     assert float(rows[-1][1]) == 2.0
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter, so modules imported by other tests do not count
+    script = (
+        "import sys\n"
+        "import wignerlab.cli\n"
+        f"code = wignerlab.cli.main(['gamma-table', '--n', '64', '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+    assert (tmp_path / "gamma.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wignerlab.profile import (
+    _SYMMETRY_BLOCK,
     ProfileError,
     VarianceProfile,
     assumption_report,
@@ -149,3 +150,27 @@ def test_content_hash_is_sha256_of_sigma2():
     want = hashlib.sha256(p.sigma2.tobytes()).hexdigest()[:16]
     assert p.content_hash() == want
     assert flat_profile(16).content_hash() != want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_profile_rejects_non_finite_entry(bad):
+    s = np.full((4, 4), 0.25)
+    s[1, 2] = s[2, 1] = bad
+    with pytest.raises(ProfileError, match="non-finite"):
+        VarianceProfile(sigma2=s, kind="custom")
+
+
+@pytest.mark.parametrize("n", [_SYMMETRY_BLOCK + 37, 2 * _SYMMETRY_BLOCK])
+def test_symmetry_check_across_block_boundary(n):
+    # the pair (i, j) sits in an off-diagonal block pair; the first n leaves
+    # a partial last block, which holds j
+    i, j = _SYMMETRY_BLOCK - 1, n - 1
+    for asym, accepted in [(2e-12, False), (5e-13, True)]:
+        s = np.full((n, n), 1.0 / n)
+        s[i, j] += asym / 2
+        s[j, i] -= asym / 2
+        if accepted:
+            VarianceProfile(sigma2=s, kind="custom")
+        else:
+            with pytest.raises(ProfileError, match="not symmetric"):
+                VarianceProfile(sigma2=s, kind="custom")

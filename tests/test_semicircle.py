@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from wignerlab.semicircle import (
     SpectralDomainError,
     SpectralPoint,
+    _brentq,
     classical_locations,
     im_msc_scale,
     m_sc,
@@ -102,6 +104,29 @@ def test_classical_locations_residual_and_symmetry():
         assert abs(n_sc(x) - j / n) <= 1e-12
     assert np.max(np.abs(g[: n - 1] + g[: n - 1][::-1])) <= 1e-10
     assert np.all(np.diff(g) > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 255, 256, 1000, 2048])
+def test_classical_locations_bits_match_scipy_brentq(n):
+    want = np.empty(n)
+    want[-1] = 2.0
+    for j in range(1, n):
+        q = j / n
+        want[j - 1] = brentq(lambda x: n_sc(x) - q, -2.0, 2.0, xtol=1e-14, rtol=8.9e-16)
+    assert classical_locations(n).tobytes() == want.tobytes()
+
+
+def test_brentq_same_sign_raises():
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=100)
+
+
+def test_brentq_out_of_iterations_raises():
+    f = lambda x: n_sc(x) - 0.3  # noqa: E731
+    with pytest.raises(RuntimeError, match="converge"):
+        _brentq(f, -2.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
+    with pytest.raises(RuntimeError):
+        brentq(f, -2.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
 
 
 def test_im_msc_scale_cases():
