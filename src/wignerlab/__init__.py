@@ -6,7 +6,6 @@ from .profile import (
     VarianceProfile,
     assumption_report,
     band_profile,
-    custom_profile,
     flat_profile,
 )
 from .sampler import (
@@ -26,7 +25,6 @@ from .semicircle import (
     SpectralGrid,
     SpectralPoint,
     classical_locations,
-    im_msc_scale,
     m_sc,
     make_grid,
     n_sc,
@@ -41,9 +39,8 @@ from .resolvent import (
     k_quantity,
     minor_green,
     ward_residual,
-    xi_quantities,
 )
-from .dbm import gap_distribution, ou_endpoint, ou_path
+from .dbm import gap_distribution, ou_endpoint
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,

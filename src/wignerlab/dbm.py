@@ -2,7 +2,7 @@
 
 The endpoint of the flow is sampled exactly in distribution as
 e^{-t/2} H_0 + sqrt(1 - e^{-t}) V with V an independent Gaussian matrix of
-entry variance 1/N; pathwise integration exists for cross-validation only.
+entry variance 1/N.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .profile import VarianceProfile, flat_profile
-from .sampler import WignerSample, gaussian, sample_matrix
+from .sampler import gaussian, sample_matrix
 from .semicircle import rho_sc
 
 
@@ -41,58 +41,16 @@ def _noise(n: int, symmetry: str, stream: np.random.Generator) -> np.ndarray:
 
 
 def ou_endpoint(
-    h0: np.ndarray | WignerSample,
-    t: float,
-    symmetry: str,
-    stream: np.random.Generator,
+    h0: np.ndarray, t: float, symmetry: str, stream: np.random.Generator
 ) -> np.ndarray:
     """Exact-in-distribution sample of the flow at time t from start h0."""
     if t < 0:
         raise FlowError(f"t={t} must be nonnegative")
-    h = h0.h if isinstance(h0, WignerSample) else h0
-    n = h.shape[0]
     if t == 0.0:
-        return h.copy()
-    return math.exp(-t / 2.0) * h + math.sqrt(1.0 - math.exp(-t)) * _noise(
-        n, symmetry, stream
+        return h0.copy()
+    return math.exp(-t / 2.0) * h0 + math.sqrt(1.0 - math.exp(-t)) * _noise(
+        h0.shape[0], symmetry, stream
     )
-
-
-def ou_path(
-    h0: np.ndarray | WignerSample,
-    t_grid,
-    symmetry: str,
-    stream: np.random.Generator,
-    mode: str = "exact_ou",
-    euler_dt: float = 1e-4,
-) -> list[np.ndarray]:
-    """Trajectory sampled at the given increasing times starting from 0.
-
-    exact_ou applies the one-step update H <- e^{-d/2} H + sqrt(1-e^{-d}) W
-    between grid times; euler integrates dH = N^{-1/2} dB - H/2 dt with step
-    euler_dt for cross-validation.
-    """
-    t_grid = list(t_grid)
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])) or (t_grid and t_grid[0] < 0):
-        raise FlowError(f"time grid {t_grid} must be increasing and nonnegative")
-    if mode not in ("exact_ou", "euler"):
-        raise FlowError(f"unknown path mode {mode!r}")
-    h = (h0.h if isinstance(h0, WignerSample) else h0).copy()
-    n = h.shape[0]
-    out = []
-    prev = 0.0
-    for t in t_grid:
-        delta = t - prev
-        if mode == "exact_ou":
-            h = ou_endpoint(h, delta, symmetry, stream)
-        else:
-            steps = max(1, round(delta / euler_dt)) if delta > 0 else 0
-            dt = delta / steps if steps else 0.0
-            for _ in range(steps):
-                h = h + math.sqrt(dt) * _noise(n, symmetry, stream) - 0.5 * h * dt
-        out.append(h.copy())
-        prev = t
-    return out
 
 
 def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> np.ndarray:

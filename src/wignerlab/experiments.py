@@ -51,8 +51,8 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not self.n_list or self.n_list[0] < 2 or sorted(self.n_list) != self.n_list:
-            raise ConfigError(f"n_list {self.n_list} must be sorted ascending, sizes >= 2")
+        if not self.n_list or self.n_list[0] < 2 or not _increasing(self.n_list):
+            raise ConfigError(f"n_list {self.n_list} must be strictly increasing, sizes >= 2")
         if self.samples_per_n < 1:
             raise ConfigError("samples_per_n must be >= 1")
         if self.master_seed < 0:
@@ -72,8 +72,13 @@ class ExperimentConfig:
             raise ConfigError(f"eta_count {self.eta_count} < 3, too few points for a slope fit")
         if not self.eta_min_exponent < 0:
             raise ConfigError(f"eta_min_exponent {self.eta_min_exponent} must be < 0")
-        if self.t_list is not None and (len(self.t_list) < 2 or min(self.t_list) < 0):
-            raise ConfigError(f"t_list {self.t_list} needs >= 2 nonnegative times")
+        # dbm-relax compares the first time and the last but one with the last
+        if self.t_list is not None and (
+            len(self.t_list) < 3 or self.t_list[0] < 0 or not _increasing(self.t_list)
+        ):
+            raise ConfigError(
+                f"t_list {self.t_list} needs >= 3 strictly increasing nonnegative times"
+            )
         if self.reference_samples < 1:
             raise ConfigError("reference_samples must be >= 1")
         if self.threads < 1:
@@ -83,6 +88,10 @@ class ExperimentConfig:
 
     def make_profile(self, n: int) -> VarianceProfile:
         return profile_from_spec(self.profile, n)
+
+
+def _increasing(xs: list) -> bool:
+    return all(a < b for a, b in zip(xs, xs[1:]))
 
 
 def _band_width(spec: str, n: int) -> int | None:
@@ -318,7 +327,7 @@ def rigidity_stats(eigs: np.ndarray, gamma: np.ndarray) -> dict:
     j = np.arange(1, n + 1)
     dev = np.abs(eigs - gamma)
     scaled = n ** (2.0 / 3.0) * np.minimum(j, n + 1 - j) ** (1.0 / 3.0) * dev
-    bulk = slice(n // 4 - 1, 3 * n // 4)
+    bulk = slice(max(n // 4 - 1, 0), 3 * n // 4)
     return {
         "scaled_max": float(scaled.max()),
         "edge_dev": float(abs(eigs[-1] - 2.0)),
@@ -527,7 +536,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     checks.append(Check(
         "relax_start_far",
         ks_by_t[t_list[0]] >= calib["relax_t0_factor"] * ks_eq,
-        f"KS(t=0) {ks_by_t[t_list[0]]:.4f} vs {calib['relax_t0_factor']}x KS({t_eq}) = "
+        f"KS(t={t_list[0]}) {ks_by_t[t_list[0]]:.4f} vs {calib['relax_t0_factor']}x KS({t_eq}) = "
         f"{calib['relax_t0_factor'] * ks_eq:.4f}",
     ))
     t_fast = t_list[-2]

@@ -14,7 +14,6 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-12
-CUSTOM_TOL = 1e-10
 SIMPLE_EIG_TOL = 1e-8
 _SYMMETRY_BLOCK = 128  # block edge of the symmetry check; fastest of 64..512 at N = 2048
 
@@ -65,9 +64,6 @@ class VarianceProfile:
     def content_hash(self) -> str:
         """SHA-256 of sigma2's bytes, first 16 hex digits."""
         return hashlib.sha256(np.ascontiguousarray(self.sigma2)).hexdigest()[:16]
-
-    def save_txt(self, path) -> None:
-        np.savetxt(path, self.sigma2, fmt="%.17g")
 
 
 def _symmetric(s: np.ndarray, tol: float) -> bool:
@@ -139,36 +135,6 @@ def symmetric_offsets(n: int) -> np.ndarray:
     return np.arange(-(n // 2) + 1 if n % 2 == 0 else -(n // 2), n // 2 + 1)
 
 
-def custom_profile(sigma2: np.ndarray) -> VarianceProfile:
-    """Validate an arbitrary variance matrix as a profile.
-
-    Symmetrizes by averaging with the transpose, then checks column sums
-    within 1e-10.
-    """
-    s = np.array(sigma2, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ProfileError(f"expected square matrix, got shape {s.shape}")
-    n = s.shape[0]
-    if n < 2:
-        raise ProfileError(f"dimension {n} < 2")
-    if np.any(s < 0):
-        i, j = np.unravel_index(int(np.argmin(s)), s.shape)
-        raise ProfileError(f"negative variance at ({i}, {j})")
-    s = 0.5 * (s + s.T)
-    col = s.sum(axis=0)
-    bad = int(np.argmax(np.abs(col - 1.0)))
-    if abs(col[bad] - 1.0) > CUSTOM_TOL:
-        raise ProfileError(
-            f"column {bad} sums to {col[bad]!r} (|residual| > {CUSTOM_TOL})"
-        )
-    # renormalize the sub-1e-10 residual away so the stricter invariant holds
-    s = s / col[None, :]
-    s = 0.5 * (s + s.T)
-    s /= s.sum(axis=0, keepdims=True)
-    s = 0.5 * (s + s.T)
-    return VarianceProfile(sigma2=s, kind="custom")
-
-
 def assumption_report(p: VarianceProfile) -> AssumptionReport:
     """Spectrum of the variance matrix and the spectral-gap parameters.
 
@@ -196,7 +162,3 @@ def assumption_report(p: VarianceProfile) -> AssumptionReport:
         c_inf=p.c_inf,
         c_sup=p.c_sup,
     )
-
-
-def load_txt(path) -> VarianceProfile:
-    return custom_profile(np.loadtxt(path))

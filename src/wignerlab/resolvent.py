@@ -1,17 +1,14 @@
-"""Green functions, minors and the exact self-consistent perturbation
-identities, plus the deviation diagnostics used by the experiments."""
+"""Green functions, minors and the exact perturbation identities, plus the
+deviation diagnostics used by the experiments."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sampler import WignerSample
 from .semicircle import SpectralPoint, m_sc
-
-DEFAULT_A0 = 2.0
 
 
 class SingularityError(ArithmeticError):
@@ -45,17 +42,8 @@ EMPTY = MinorSpec(frozenset())
 class GreenSnapshot:
     """Resolvent deviation diagnostics at one spectral point."""
 
-    z: SpectralPoint
-    m_n: complex
-    lambda_d: float
     lambda_o: float
     lam: float
-    psi: float
-
-
-def default_ell(n: int, a0: float = DEFAULT_A0) -> int:
-    """Log-power exponent in the fluctuation scale psi."""
-    return max(1, math.ceil(a0 * math.log(math.log(n))))
 
 
 def green_at(s: WignerSample, z: SpectralPoint):
@@ -78,31 +66,14 @@ def ward_residual(g: np.ndarray, z: SpectralPoint, relative: bool = False) -> fl
     return float(res.max())
 
 
-def control_params(
-    g: np.ndarray, z: SpectralPoint, ell: int | None = None
-) -> GreenSnapshot:
-    """Diagonal / off-diagonal / averaged deviation of G from m_sc, and the
-    fluctuation scale psi = (log N)^ell * sqrt((Lambda + Im m_sc)/(N eta))."""
-    n = g.shape[0]
-    msc = m_sc(z)
-    diag = np.diag(g)
-    lambda_d = float(np.abs(diag - msc).max())
+def control_params(g: np.ndarray, z: SpectralPoint) -> GreenSnapshot:
+    """Largest off-diagonal entry of G and the averaged deviation
+    |m_N - m_sc| of its normalized trace from the semicircle transform."""
     off = np.abs(g)
     np.fill_diagonal(off, 0.0)
-    lambda_o = float(off.max()) if n > 1 else 0.0
-    m_n = complex(diag.mean())
-    lam = abs(m_n - msc)
-    if ell is None:
-        ell = default_ell(n) if n >= 3 else 1
-    psi = math.log(n) ** ell * math.sqrt((lam + msc.imag) / (n * z.eta)) if n > 1 else 0.0
-    return GreenSnapshot(
-        z=z,
-        m_n=m_n,
-        lambda_d=lambda_d,
-        lambda_o=lambda_o,
-        lam=lam,
-        psi=psi,
-    )
+    lambda_o = float(off.max()) if g.shape[0] > 1 else 0.0
+    lam = abs(complex(np.diag(g).mean()) - m_sc(z))
+    return GreenSnapshot(lambda_o=lambda_o, lam=lam)
 
 
 def minor_green(s: WignerSample, t: MinorSpec, z: SpectralPoint) -> np.ndarray:
@@ -133,53 +104,6 @@ def k_quantity(s: WignerSample, t: MinorSpec, i: int, j: int, z: SpectralPoint):
     zq = complex(ai.conj() @ gm @ aj)
     kq = complex(s.h[i, j] - (z.z if i == j else 0.0) - zq)
     return kq, zq
-
-
-def xi_quantities(s: WignerSample, i: int, z: SpectralPoint):
-    """Per-row quantities of the self-consistent equation.
-
-    a_i couples the row variances to the resolvent; z_i is the fluctuation of
-    the quadratic form around its exact partial expectation (computed from
-    sigma2, not by Monte Carlo); upsilon_i = a_i + h_ii - z_i is the error
-    term in v_i = 1/(-z - m_sc - (sum_j sigma2_ij v_j - upsilon_i)) - m_sc.
-    """
-    g, _ = green_at(s, z)
-    gii = g[i, i]
-    if abs(gii) < 1e-14:
-        raise SingularityError(f"G_{i}{i} = {gii} too small")
-    sig = s.profile.sigma2[i]
-    mask = np.ones(s.n, dtype=bool)
-    mask[i] = False
-    a_i = complex(sig[i] * gii + np.sum(sig[mask] * g[i, mask] * g[mask, i]) / gii)
-    spec = MinorSpec.of(i)
-    keep = spec.keep(s.n)
-    gm = minor_green(s, spec, z)
-    ai = s.h[keep, i]
-    z_full = complex(ai.conj() @ gm @ ai)
-    z_expect = complex(np.sum(sig[keep] * np.diag(gm)))
-    z_i = z_full - z_expect
-    upsilon_i = a_i + s.h[i, i] - z_i
-    return a_i, z_i, upsilon_i
-
-
-def self_consistent_residual(s: WignerSample, i: int, z: SpectralPoint) -> float:
-    """Residual of the exact self-consistent equation for v_i = G_ii - m_sc."""
-    g, _ = green_at(s, z)
-    msc = m_sc(z)
-    v = np.diag(g) - msc
-    _, _, upsilon_i = xi_quantities(s, i, z)
-    sig = s.profile.sigma2[i]
-    denom = -z.z - msc - (complex(np.sum(sig * v)) - upsilon_i)
-    return abs(v[i] - (1.0 / denom - msc))
-
-
-def averaged_fluctuation(s: WignerSample, z: SpectralPoint) -> complex:
-    """Mean over rows of the quadratic-form fluctuation z_i."""
-    total = 0.0 + 0.0j
-    for i in range(s.n):
-        _, z_i, _ = xi_quantities(s, i, z)
-        total += z_i
-    return total / s.n
 
 
 def identity_residuals(

@@ -106,7 +106,6 @@ class WignerSample:
     """A realized matrix with a lazily computed eigendecomposition cache."""
 
     h: np.ndarray
-    profile: VarianceProfile
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
     _eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
@@ -169,7 +168,7 @@ def sample_matrix(
         o += k
     _mirror_upper(h)
     np.fill_diagonal(h, d.draw(stream, n) * np.sqrt(np.diagonal(p.sigma2)))
-    return WignerSample(h=h, profile=p)
+    return WignerSample(h=h)
 
 
 _MIRROR_BLOCK = 64

@@ -1,5 +1,5 @@
-"""Closed-form semicircle machinery: Stieltjes transform, density, cdf,
-classical eigenvalue locations and the comparability scale of Im m_sc.
+"""Closed-form semicircle machinery: Stieltjes transform, density, cdf and
+classical eigenvalue locations.
 
 The classical locations are found by ``_brentq``, a line-for-line port of
 SciPy's C solver ``optimize/Zeros/brentq.c``: given the same arguments it
@@ -29,11 +29,6 @@ class SpectralPoint:
     def __post_init__(self):
         if self.eta <= 0:
             raise SpectralDomainError(f"eta={self.eta} must be positive")
-
-    @property
-    def kappa(self) -> float:
-        """Distance of e to the spectral edges +-2."""
-        return abs(abs(self.e) - 2.0)
 
     @property
     def z(self) -> complex:
@@ -175,14 +170,3 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
         fcur = f(xcur)
     raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
-
-def im_msc_scale(z: SpectralPoint) -> float:
-    """Reference scale for Im m_sc: eta/sqrt(kappa+eta) outside the bulk when
-    kappa >= eta, sqrt(kappa+eta) otherwise.  A comparability band, not an
-    exact value."""
-    if abs(z.e) > 5.0 or not (0.0 < z.eta <= 10.0):
-        raise SpectralDomainError(f"(E={z.e}, eta={z.eta}) outside |E|<=5, 0<eta<=10")
-    k = z.kappa
-    if k >= z.eta and abs(z.e) >= 2.0:
-        return z.eta / math.sqrt(k + z.eta)
-    return math.sqrt(k + z.eta)

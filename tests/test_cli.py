@@ -89,6 +89,7 @@ def test_cli_runs_without_scipy(tmp_path):
     "identities --n 2",
     "identities --samples 0",
     "identities --seed -1",
+    "rigidity --n 64,64,64 --samples 2",  # the --n flag is sorted, then checked
 ])
 def test_utility_bad_input_is_config_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -179,10 +180,18 @@ BAD_CONFIGS = [
     ("counting", "profile = band:w=17"),
     ("dbm-relax", "t_list = 0.5"),
     ("dbm-relax", "t_list = -1.0,4.0"),
+    # at N = 256 these would run: a bad t_list must be caught before any draw
+    ("dbm-relax", "n_list = 256\nt_list = 0.0,4.0"),  # relax_fast compares 4.0 with itself
+    ("dbm-relax", "n_list = 256\nt_list = 0.0,4.0,4.0"),
+    ("dbm-relax", "n_list = 256\nt_list = 4.0,0.0,1.0"),  # start and equilibrium mislabeled
+    ("dbm-relax", "n_list = 256\nt_list = -1.0,0.5,4.0"),
     ("counting", "threads = 0"),
     ("counting", "top_k = 0"),
     ("edge", "distribution_b = rademacher\ntop_k = 40"),
     ("counting", "n_list = 1"),
+    ("rigidity", "n_list = 64,64,64"),  # a slope fit over one distinct size
+    ("lsc", "n_list = 32,32"),  # every row twice
+    ("counting", "n_list = 64,32"),
     ("counting", "samples_per_n = two"),
     ("counting", "allow_moment_mismatch = maybe"),
     ("lsc", "eta_count = 2"),

@@ -9,7 +9,6 @@ from wignerlab.dbm import (
     equilibrium_gap_reference,
     gap_distribution,
     ou_endpoint,
-    ou_path,
 )
 from wignerlab.profile import flat_profile
 from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, gaussian, sample_matrix
@@ -58,40 +57,11 @@ def test_semigroup_coefficient_identity():
         assert math.exp(-s / 2) * math.exp(-(t - s) / 2) == pytest.approx(math.exp(-t / 2), rel=1e-14)
 
 
-def test_path_single_step_equals_endpoint():
-    h0 = start_matrix(12, seed=5)
-    a = ou_path(h0, [0.4], SYMMETRIC, derive_stream(6, 0))[0]
-    b = ou_endpoint(h0, 0.4, SYMMETRIC, derive_stream(6, 0))
-    assert np.array_equal(a, b)
-
-
-def test_path_requires_increasing_grid():
-    h0 = start_matrix(4)
-    with pytest.raises(FlowError):
-        ou_path(h0, [0.2, 0.1], SYMMETRIC, derive_stream(0, 0))
-    with pytest.raises(FlowError):
-        ou_path(h0, [0.1], SYMMETRIC, derive_stream(0, 0), mode="heun")
-
-
-def test_path_preserves_symmetry():
+def test_endpoint_preserves_symmetry():
     h0 = sample_matrix(flat_profile(10), gaussian(), HERMITIAN, derive_stream(7, 0)).h
-    path = ou_path(h0, [0.1, 0.3, 0.9], HERMITIAN, derive_stream(7, 1))
-    for h in path:
+    for r, t in enumerate([0.1, 0.3, 0.9]):
+        h = ou_endpoint(h0, t, HERMITIAN, derive_stream(7, r + 1))
         assert np.max(np.abs(h - h.conj().T)) == 0.0
-
-
-def test_euler_matches_exact_second_moments():
-    # strong-order check on the entrywise second moment at a fixed time
-    n, t, m = 16, 0.25, 300
-    h0 = start_matrix(n, seed=8)
-    iu = np.triu_indices(n, k=1)
-    target = math.exp(-t) * float(np.mean(np.abs(h0[iu]) ** 2)) + (1 - math.exp(-t)) / n
-    obs = np.empty(m)
-    for r in range(m):
-        h = ou_path(h0, [t], SYMMETRIC, derive_stream(9, r), mode="euler", euler_dt=5e-3)[0]
-        obs[r] = float(np.mean(np.abs(h[iu]) ** 2))
-    se = obs.std(ddof=1) / math.sqrt(m)
-    assert abs(obs.mean() - target) <= 4 * se + 10 * 5e-3 * target
 
 
 def test_gap_unfolding_equispaced():

@@ -101,16 +101,31 @@ def test_counting_sup_single_eigenvalue():
     assert s == pytest.approx(max(n_sc(lam), 1.0 - n_sc(lam)), abs=1e-12)
 
 
-def test_rigidity_stats_shapes():
-    n = 64
+# below n = 4 the bulk window starts at index 0; n // 4 - 1 would be -1
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_rigidity_stats_shapes(n):
     gamma = classical_locations(n)
     stats = rigidity_stats(gamma, gamma)
     assert stats["scaled_max"] == 0.0
     assert stats["edge_dev"] == 0.0
+    assert stats["bulk_max"] == 0.0
+
+
+def test_rigidity_runs_below_four():
+    rep = run_rigidity(ExperimentConfig(n_list=[3], samples_per_n=2))
+    assert [r[:2] for r in rep.rows] == [(3, 2)]
 
 
 def test_calibration_loads():
     calib = load_calibration()
+    assert calib["version"] == 2
+    assert set(calib) == {
+        "version", "comment", "polylog_exponent", "lsc_envelope_logpow",
+        "lsc_envelope_const", "lsc_slope_band", "offdiag_envelope_const",
+        "rigidity_edge_slope", "rigidity_bulk_slope", "rigidity_scaled_const",
+        "counting_const", "extreme_c", "edge_alpha", "relax_t0_factor",
+        "relax_eq_factor",
+    }
     assert calib["polylog_exponent"] == 2.0
     assert calib["lsc_slope_band"] == [-1.2, -0.8]
 

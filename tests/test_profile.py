@@ -9,9 +9,7 @@ from wignerlab.profile import (
     VarianceProfile,
     assumption_report,
     band_profile,
-    custom_profile,
     flat_profile,
-    load_txt,
     symmetric_offsets,
 )
 
@@ -92,44 +90,14 @@ def test_band_spectrum_matches_circulant_fourier():
     assert 0 < rep.delta_plus < 1.0
 
 
-def test_custom_flat_accepted_unchanged():
-    p = custom_profile(np.full((4, 4), 0.25))
-    assert np.all(p.sigma2 == 0.25)
-
-
-def test_custom_bad_column_rejected():
-    m = np.full((4, 4), 0.25)
-    m[:, 0] = 0.225  # column sums to 0.9
-    m[0, :] = 0.225
-    with pytest.raises(ProfileError):
-        custom_profile(m)
-
-
-def test_custom_permutation_similar_flat():
-    n = 6
-    rng = np.random.default_rng(3)
-    perm = rng.permutation(n)
-    base = flat_profile(n).sigma2
-    p = custom_profile(base[np.ix_(perm, perm)])
-    assert np.allclose(p.sigma2.sum(axis=0), 1.0, atol=1e-12)
-
-
 def test_identity_profile_not_simple():
-    rep = assumption_report(custom_profile(np.eye(8)))
+    rep = assumption_report(VarianceProfile(np.eye(8), "custom"))
     assert not rep.eigenvalue_one_simple
 
 
 def test_symmetric_offsets():
     assert list(symmetric_offsets(8)) == list(range(-3, 5))
     assert list(symmetric_offsets(7)) == list(range(-3, 4))
-
-
-def test_txt_roundtrip(tmp_path):
-    p = band_profile(16, 4, indicator_half)
-    path = tmp_path / "profile.txt"
-    p.save_txt(path)
-    q = load_txt(path)
-    assert np.allclose(p.sigma2, q.sigma2, atol=1e-12)
 
 
 def test_profile_rejects_non_square_sigma2():

@@ -35,8 +35,10 @@ DISTRIBUTIONS = ["gaussian", "rademacher", "uniform", "two_point:0.25", "gaussia
 
 @st.composite
 def configs(draw):
-    n_list = sorted(draw(st.lists(st.integers(2, 4096), min_size=1, max_size=4)))
+    n_list = sorted(draw(st.lists(st.integers(2, 4096), min_size=1, max_size=4, unique=True)))
     maybe = lambda s: st.none() | s
+    # dbm-relax needs >= 3 strictly increasing flow times
+    times = st.lists(st.floats(0.0, 10.0), min_size=3, max_size=5, unique=True).map(sorted)
     return ExperimentConfig(
         n_list=n_list,
         samples_per_n=draw(st.integers(1, 1000)),
@@ -52,7 +54,7 @@ def configs(draw):
         top_k=draw(st.integers(1, n_list[-1])),
         extreme_c=draw(maybe(st.floats(0.1, 10.0))),
         allow_moment_mismatch=draw(st.booleans()),
-        t_list=draw(maybe(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5))),
+        t_list=draw(maybe(times)),
         reference_samples=draw(st.integers(1, 1000)),
         threads=draw(st.integers(1, 8)),
     )

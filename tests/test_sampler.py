@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wignerlab.profile import band_profile, custom_profile, flat_profile
+from wignerlab.profile import VarianceProfile, band_profile, flat_profile
 from wignerlab.sampler import (
     HERMITIAN,
     SYMMETRIC,
@@ -169,7 +169,7 @@ def _custom_sparse(n):
     for _ in range(500):
         s = s / s.sum(axis=0, keepdims=True)
         s = 0.5 * (s + s.T)
-    return custom_profile(s)
+    return VarianceProfile(s, "custom")
 
 
 _PROFILES = {
@@ -199,6 +199,6 @@ def test_sample_matrix_matches_full_matrix_formulation(kind, symmetry, n):
 def test_non_finite_spectrum_raises(method):
     h = np.eye(4)
     h[0, 1] = h[1, 0] = np.inf
-    s = WignerSample(h, flat_profile(4))
+    s = WignerSample(h)
     with pytest.raises(FloatingPointError):
         getattr(s, method)()

@@ -10,7 +10,6 @@ from wignerlab.semicircle import (
     SpectralPoint,
     _brentq,
     classical_locations,
-    im_msc_scale,
     m_sc,
     make_grid,
     max_l_param,
@@ -129,37 +128,10 @@ def test_brentq_out_of_iterations_raises():
         brentq(f, -2.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
 
 
-def test_im_msc_scale_cases():
-    assert im_msc_scale(SpectralPoint(0.0, 0.01)) == pytest.approx(math.sqrt(2.01))
-    assert im_msc_scale(SpectralPoint(2.5, 1e-4)) == pytest.approx(1e-4 / math.sqrt(0.5001))
-    assert im_msc_scale(SpectralPoint(2.0, 0.3)) == pytest.approx(math.sqrt(0.3))
-
-
-def test_im_msc_scale_domain():
-    with pytest.raises(SpectralDomainError):
-        im_msc_scale(SpectralPoint(6.0, 0.1))
-
-
-def test_im_msc_comparability_band():
-    # Im m_sc stays within the calibrated comparability band of its
-    # reference scale across the window.  The constant is the pilot-observed
-    # envelope (the worst corner is |E| near 5, where the ratio dips to
-    # ~0.02), stored in calibration.json rather than asserted a priori.
-    from wignerlab.experiments import load_calibration
-
-    band = load_calibration()["imsc_comparability_band"]
-    rng = np.random.default_rng(2)
-    for _ in range(500):
-        pt = SpectralPoint(float(rng.uniform(-5, 5)), float(10 ** rng.uniform(-5, 1)))
-        ratio = m_sc(pt).imag / im_msc_scale(pt)
-        assert 1.0 / band <= ratio <= band
-
-
 def test_spectral_point_validation():
     with pytest.raises(SpectralDomainError):
         SpectralPoint(0.0, 0.0)
     pt = SpectralPoint(-2.5, 0.1)
-    assert pt.kappa == pytest.approx(0.5)
     assert pt.z == complex(-2.5, 0.1)
 
 
