@@ -150,8 +150,7 @@ def cmd_identities(args) -> int:
         rest = [x for x in range(n) if x not in t.t]
         i, j, k = (int(x) for x in rng.choice(rest, 3, replace=False))
         res = identity_residuals(s, z, t, i, j, k)
-        g, _ = green_at(s, z)
-        wres = ward_residual(g, z, relative=True)
+        wres = ward_residual(green_at(s, z), z, relative=True)
         worst = [max(a, b) for a, b in zip(worst, [*res, wres])]
     names = ["inverse", "offdiag", "diag_minor", "offdiag_minor", "ward"]
     ok = True

@@ -267,14 +267,14 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
             raise ConfigError(f"grid outside the admissible window: {exc}") from exc
         fits[f"l_param_n{n}"] = grid.l_param
         pts = grid.points
+        denoms = [
+            math.sqrt(m_sc(z).imag / (n * z.eta)) + 1.0 / (n * z.eta) for z in pts
+        ]
 
         def one(s):
             out = []
-            for z in pts:
-                g, m_n = green_at(s, z)
-                snap = control_params(g, z)
-                msc = m_sc(z)
-                denom = math.sqrt(msc.imag / (n * z.eta)) + 1.0 / (n * z.eta)
+            for z, denom in zip(pts, denoms):
+                snap = control_params(green_at(s, z), z)
                 out.append((snap.lam, snap.lambda_o / denom))
             return out
 

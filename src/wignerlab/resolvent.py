@@ -46,14 +46,26 @@ class GreenSnapshot:
     lam: float
 
 
-def green_at(s: WignerSample, z: SpectralPoint):
-    """Full resolvent G = (H - z)^-1 and its normalized trace, from the
-    sample's cached spectral factorization."""
+def _spectral_product(w: np.ndarray, u: np.ndarray, z: complex) -> np.ndarray:
+    """U diag(1/(w - z)) U^H as a complex128 array.
+
+    Real eigenvectors (symmetric class) take two real GEMMs, one for each of
+    Re G and Im G; complex ones (Hermitian class) take one complex GEMM.
+    """
+    inv = 1.0 / (w - z)
+    if np.iscomplexobj(u):
+        return (u * inv) @ u.conj().T
+    g = np.empty((u.shape[0], u.shape[0]), dtype=np.complex128)
+    g.real = (u * inv.real) @ u.T
+    g.imag = (u * inv.imag) @ u.T
+    return g
+
+
+def green_at(s: WignerSample, z: SpectralPoint) -> np.ndarray:
+    """Full resolvent G = (H - z)^-1 from the sample's cached spectral
+    factorization."""
     w, u = s.eigen_pair()
-    inv = 1.0 / (w - z.z)
-    g = (u * inv) @ u.conj().T
-    m_n = complex(inv.mean())
-    return g, m_n
+    return _spectral_product(w, u, z.z)
 
 
 def ward_residual(g: np.ndarray, z: SpectralPoint, relative: bool = False) -> float:
@@ -86,7 +98,7 @@ def minor_green(s: WignerSample, t: MinorSpec, z: SpectralPoint) -> np.ndarray:
         raise ValueError("minor removes every index")
     hm = s.h[np.ix_(keep, keep)]
     w, u = np.linalg.eigh(hm)
-    return (u * (1.0 / (w - z.z))) @ u.conj().T
+    return _spectral_product(w, u, z.z)
 
 
 def k_quantity(s: WignerSample, t: MinorSpec, i: int, j: int, z: SpectralPoint):

@@ -63,7 +63,7 @@ def test_criterion_1_identity_suite():
         rest = [x for x in range(n) if x not in t.t]
         i, j, k = (int(x) for x in rng.choice(rest, 3, replace=False))
         worst = max(worst, *identity_residuals(s, z_pt, t, i, j, k))
-        g, _ = green_at(s, z_pt)
+        g = green_at(s, z_pt)
         worst = max(worst, ward_residual(g, z_pt, relative=True))
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 30.0

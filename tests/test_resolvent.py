@@ -61,15 +61,60 @@ def test_eigen_pair_1x1():
 
 def test_green_trivial_1x1():
     s = set_matrix(make_sample(2), np.zeros((1, 1)))
-    g, m_n = green_at(s, Z_I)
+    g = green_at(s, Z_I)
     assert g[0, 0] == pytest.approx(1j, abs=1e-15)
+    m_n = np.mean(1.0 / (s.eigenvalues() - Z_I.z))
     assert m_n == pytest.approx(1j, abs=1e-15)
+    assert np.diag(g).mean() == pytest.approx(m_n, abs=1e-15)
+
+
+def spectral_formula(w, u, z):
+    # the resolvent written out as one complex product U diag(1/(w - z)) U^H
+    return (u * (1.0 / (w - z))) @ u.conj().T
+
+
+def test_green_returns_array():
+    g = green_at(make_sample(4), Z_I)
+    assert isinstance(g, np.ndarray)
+    assert g.shape == (4, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 130, 512])
+def test_green_symmetric_matches_complex_formula(n):
+    if n == 1:
+        s = set_matrix(make_sample(2), np.array([[0.3]]))
+    else:
+        s = make_sample(n, seed=11)
+    w, u = s.eigen_pair()
+    assert u.dtype == np.float64
+    for eta in (n**-0.9, 0.05, 1.0, 10.0):
+        z = SpectralPoint(0.2, eta)
+        g = green_at(s, z)
+        assert g.dtype == np.complex128
+        ref = spectral_formula(w, u, z.z)
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_green_hermitian_bytes_unchanged():
+    n = 48
+    s = make_sample(n, sym=HERMITIAN, seed=13)
+    spec = MinorSpec.of(0, 5, 30)
+    keep = spec.keep(n)
+    wm, um = np.linalg.eigh(s.h[np.ix_(keep, keep)])
+    w, u = s.eigen_pair()
+    assert u.dtype == np.complex128
+    for eta in (n**-0.9, 0.05, 1.0, 10.0):
+        z = SpectralPoint(0.6, eta)
+        g = green_at(s, z)
+        assert g.tobytes() == spectral_formula(w, u, z.z).tobytes()
+        gm = minor_green(s, spec, z)
+        assert gm.tobytes() == spectral_formula(wm, um, z.z).tobytes()
 
 
 def test_green_inverse_residual():
     for n in (8, 32, 64):
         s = make_sample(n, seed=1)
-        g, _ = green_at(s, SpectralPoint(0.3, 0.05))
+        g = green_at(s, SpectralPoint(0.3, 0.05))
         resid = (s.h - complex(0.3, 0.05) * np.eye(n)) @ g - np.eye(n)
         assert np.max(np.abs(resid)) <= 1e-9
 
@@ -79,16 +124,17 @@ def test_green_matches_dense_solve():
     n = 32
     s = make_sample(n, seed=2)
     z = SpectralPoint(-1.2, 0.02)
-    g, m_n = green_at(s, z)
+    g = green_at(s, z)
     x = np.linalg.solve(s.h - z.z * np.eye(n), np.eye(n))
     assert np.max(np.abs(g - x)) <= 1e-8
+    m_n = np.diag(g).mean()
     assert m_n.imag > 0
     assert np.mean(1.0 / (s.eigenvalues() - z.z)) == pytest.approx(m_n, abs=1e-12)
 
 
 def test_control_params_zero_matrix():
     s = zero_sample(2)
-    g, _ = green_at(s, Z_I)
+    g = green_at(s, Z_I)
     snap = control_params(g, Z_I)
     expected = abs(1j - m_sc(1j))
     assert snap.lam == pytest.approx(expected, abs=1e-12)
@@ -97,7 +143,7 @@ def test_control_params_zero_matrix():
 
 def test_control_params_diagonal_offdiag_zero():
     s = set_matrix(make_sample(5), np.diag([0.1, -0.4, 0.9, 0.0, 1.3]))
-    g, _ = green_at(s, SpectralPoint(0.5, 0.3))
+    g = green_at(s, SpectralPoint(0.5, 0.3))
     snap = control_params(g, SpectralPoint(0.5, 0.3))
     assert snap.lambda_o <= 1e-15
 
@@ -107,7 +153,7 @@ def test_lambda_le_lambda_d():
     for idx in range(5):
         s = make_sample(16, seed=3, index=idx)
         z = SpectralPoint(0.7, 0.2)
-        g, _ = green_at(s, z)
+        g = green_at(s, z)
         lambda_d = np.abs(np.diag(g) - m_sc(z)).max()
         assert control_params(g, z).lam <= lambda_d + 1e-15
 
@@ -115,7 +161,7 @@ def test_lambda_le_lambda_d():
 def test_minor_empty_equals_full():
     s = make_sample(9)
     z = SpectralPoint(0.1, 0.4)
-    assert np.allclose(minor_green(s, EMPTY, z), green_at(s, z)[0], atol=1e-12)
+    assert np.allclose(minor_green(s, EMPTY, z), green_at(s, z), atol=1e-12)
 
 
 def test_minor_trailing_block():
@@ -144,7 +190,7 @@ def test_minor_cannot_remove_all():
 def test_k_quantity_inverse_identity():
     s = make_sample(10, sym=HERMITIAN, seed=4)
     z = SpectralPoint(0.4, 0.2)
-    g, _ = green_at(s, z)
+    g = green_at(s, z)
     for i in (0, 3, 9):
         kq, _ = k_quantity(s, EMPTY, i, i, z)
         assert abs(g[i, i] * kq - 1.0) <= 1e-9
@@ -229,14 +275,14 @@ def test_identity_residuals_requires_distinct():
 def test_ward_identity():
     s = make_sample(32, seed=10)
     z = SpectralPoint(0.2, 0.05)
-    g, _ = green_at(s, z)
+    g = green_at(s, z)
     assert ward_residual(g, z) <= 1e-10
     sh = make_sample(32, sym=HERMITIAN, seed=10)
-    gh, _ = green_at(sh, z)
+    gh = green_at(sh, z)
     assert ward_residual(gh, z, relative=True) <= 1e-10
 
 
 def test_ward_identity_1x1():
     s = set_matrix(make_sample(2), np.zeros((1, 1)))
-    g, _ = green_at(s, Z_I)
+    g = green_at(s, Z_I)
     assert ward_residual(g, Z_I) <= 1e-15
