@@ -22,11 +22,9 @@ from .sampler import (
     uniform,
 )
 from .semicircle import (
-    SpectralGrid,
     SpectralPoint,
     classical_locations,
     m_sc,
-    make_grid,
     n_sc,
     rho_sc,
 )

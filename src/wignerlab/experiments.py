@@ -18,7 +18,7 @@ from . import dbm
 from .profile import VarianceProfile, band_profile, flat_profile
 from .resolvent import control_params, green_at
 from .sampler import HERMITIAN, SYMMETRIC, derive_stream, from_name, sample_indexed
-from .semicircle import classical_locations, m_sc, make_grid, n_sc
+from .semicircle import SpectralPoint, classical_locations, m_sc, n_sc
 
 
 class ConfigError(ValueError):
@@ -42,8 +42,6 @@ class ExperimentConfig:
     e_values: list[float] = field(default_factory=lambda: [0.0])
     eta_count: int = 12
     eta_min_exponent: float = -0.9  # eta sweep starts at N**this
-    l_param: float | None = None
-    top_k: int = 3
     extreme_c: float | None = None
     allow_moment_mismatch: bool = False  # negative controls only
     t_list: list[float] | None = None
@@ -66,12 +64,18 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         _band_width(self.profile, self.n_list[0])
-        if not self.e_values:
-            raise ConfigError("e_values must name at least one energy")
+        # the paper's spectral domain |E| <= 5; abs(nan) <= 5.0 is False
+        e = self.e_values
+        if not e or len(set(e)) < len(e) or not all(abs(x) <= 5.0 for x in e):
+            raise ConfigError(f"e_values {e} must be one or more distinct energies with |E| <= 5")
         if self.eta_count < 3:
             raise ConfigError(f"eta_count {self.eta_count} < 3, too few points for a slope fit")
-        if not self.eta_min_exponent < 0:
-            raise ConfigError(f"eta_min_exponent {self.eta_min_exponent} must be < 0")
+        # the eta sweep runs from N**eta_min_exponent up to 1; its start lies
+        # above 1/N exactly when the exponent exceeds -1
+        if not -1.0 < self.eta_min_exponent < 0.0:
+            raise ConfigError(f"eta_min_exponent {self.eta_min_exponent} outside (-1, 0)")
+        if self.extreme_c is not None and not math.isfinite(self.extreme_c):
+            raise ConfigError(f"extreme_c {self.extreme_c} must be finite")
         # dbm-relax compares the first time and the last but one with the last
         if self.t_list is not None and (
             len(self.t_list) < 3 or self.t_list[0] < 0 or not _increasing(self.t_list)
@@ -83,8 +87,6 @@ class ExperimentConfig:
             raise ConfigError("reference_samples must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if not 1 <= self.top_k <= self.n_list[-1]:
-            raise ConfigError(f"top_k {self.top_k} outside [1, {self.n_list[-1]}]")
 
     def make_profile(self, n: int) -> VarianceProfile:
         return profile_from_spec(self.profile, n)
@@ -261,12 +263,7 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
     rows, fits, checks = [], {}, []
     for n in cfg.n_list:
         etas = np.geomspace(n**cfg.eta_min_exponent, 1.0, cfg.eta_count)
-        try:
-            grid = make_grid(n, cfg.e_values, etas, cfg.l_param)
-        except Exception as exc:
-            raise ConfigError(f"grid outside the admissible window: {exc}") from exc
-        fits[f"l_param_n{n}"] = grid.l_param
-        pts = grid.points
+        pts = [SpectralPoint(float(e), float(eta)) for e in cfg.e_values for eta in etas]
         denoms = [
             math.sqrt(m_sc(z).imag / (n * z.eta)) + 1.0 / (n * z.eta) for z in pts
         ]
@@ -435,14 +432,15 @@ def run_edge(cfg: ExperimentConfig) -> ExperimentReport:
         )
     n = cfg.n_list[-1]
     cfg_b = replace(cfg, distribution=cfg.distribution_b, master_seed=cfg.master_seed + 1)
-    fluct = lambda s: edge_fluctuations(s.eigenvalues(), cfg.top_k)
+    top_k = min(3, n)  # the three largest eigenvalues; at N = 2 there are two
+    fluct = lambda s: edge_fluctuations(s.eigenvalues(), top_k)
     xa = np.array(monte_carlo(cfg, n, fluct))
     xb = np.array(monte_carlo(cfg_b, n, fluct))
     stat, c5, c1 = ks_two_sample(xa[:, 0], xb[:, 0])
     stat_min, _, _ = ks_two_sample(xa[:, -1], xb[:, -1])
     alpha = calib["edge_alpha"]
     crit = c1 if alpha <= 0.01 else c5
-    columns = ["ensemble", "sample_index"] + [f"top_{k+1}" for k in range(cfg.top_k)] + ["bottom"]
+    columns = ["ensemble", "sample_index"] + [f"top_{k+1}" for k in range(top_k)] + ["bottom"]
     rows = []
     for tag, arr in (("a", xa), ("b", xb)):
         for i, vec in enumerate(arr):

@@ -97,7 +97,10 @@ def from_name(name: str) -> EntryDistribution:
     if name.startswith("two_point:"):
         return two_point(float(name.split(":", 1)[1]))
     if name.startswith("gaussian:scale="):
-        return gaussian(float(name.split("=", 1)[1]))
+        scale = float(name.split("=", 1)[1])
+        if not math.isfinite(scale):
+            raise DistributionError(f"scale {scale} in {name!r} must be finite")
+        return gaussian(scale)
     raise DistributionError(f"unknown distribution name {name!r}")
 
 

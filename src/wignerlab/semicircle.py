@@ -35,47 +35,6 @@ class SpectralPoint:
         return complex(self.e, self.eta)
 
 
-@dataclass(frozen=True)
-class SpectralGrid:
-    """A set of spectral points inside the window where the local law applies."""
-
-    points: tuple[SpectralPoint, ...]
-    n: int
-    l_param: float
-
-    def __post_init__(self):
-        lo = eta_lower_bound(self.n, self.l_param)
-        for pt in self.points:
-            if abs(pt.e) > 5.0 or not (lo < pt.eta <= 10.0):
-                raise SpectralDomainError(
-                    f"point (E={pt.e}, eta={pt.eta}) outside window "
-                    f"(|E|<=5, {lo:.3g} < eta <= 10) for n={self.n}, L={self.l_param}"
-                )
-
-
-def eta_lower_bound(n: int, l_param: float) -> float:
-    return math.log(n) ** (10.0 * l_param) / n
-
-
-def max_l_param(n: int, eta_min: float) -> float:
-    """Largest L for which eta_min still clears the grid's lower cutoff.
-
-    At workstation sizes log-power cutoffs exceed 1 already for L >= 1, so
-    fractional L is the only way to get a nonempty grid; the chosen value is
-    recorded in reports.
-    """
-    if eta_min * n <= 1.0:
-        raise SpectralDomainError(f"eta_min={eta_min} at or below 1/n")
-    return math.log(eta_min * n) / (10.0 * math.log(math.log(n))) * (1.0 - 1e-9)
-
-
-def make_grid(n: int, e_values, eta_values, l_param: float | None = None) -> SpectralGrid:
-    if l_param is None:
-        l_param = max_l_param(n, min(eta_values))
-    pts = tuple(SpectralPoint(float(e), float(eta)) for e in e_values for eta in eta_values)
-    return SpectralGrid(points=pts, n=n, l_param=l_param)
-
-
 def m_sc(z) -> complex:
     """Stieltjes transform of the semicircle law: the root of m + 1/(z+m) = 0
     with positive imaginary part (equivalently |m| <= 1) for Im z > 0."""

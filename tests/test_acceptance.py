@@ -31,9 +31,7 @@ from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, gaussian, sam
 from wignerlab.semicircle import (
     SpectralPoint,
     classical_locations,
-    eta_lower_bound,
     m_sc,
-    max_l_param,
     n_sc,
 )
 
@@ -80,8 +78,7 @@ def test_criterion_1_identity_suite():
 def test_criterion_2_semicircle_analytics():
     t0 = time.time()
     n = 1000
-    l_param = max_l_param(n, 1e-2)
-    eta_lo = eta_lower_bound(n, l_param)
+    eta_lo = 1e-2
     rng = np.random.default_rng(7)
     worst_res, worst_mod = 0.0, 0.0
     for _ in range(10**4):

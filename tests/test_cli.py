@@ -186,17 +186,23 @@ BAD_CONFIGS = [
     ("dbm-relax", "n_list = 256\nt_list = 4.0,0.0,1.0"),  # start and equilibrium mislabeled
     ("dbm-relax", "n_list = 256\nt_list = -1.0,0.5,4.0"),
     ("counting", "threads = 0"),
-    ("counting", "top_k = 0"),
-    ("edge", "distribution_b = rademacher\ntop_k = 40"),
     ("counting", "n_list = 1"),
     ("rigidity", "n_list = 64,64,64"),  # a slope fit over one distinct size
     ("lsc", "n_list = 32,32"),  # every row twice
     ("counting", "n_list = 64,32"),
     ("counting", "samples_per_n = two"),
     ("counting", "allow_moment_mismatch = maybe"),
+    ("counting", "distribution = gaussian:scale=nan"),  # LinAlgError mid-run
+    ("edge", "distribution_b = gaussian:scale=nan"),  # abs(nan - 1) > 1e-12 is False
+    ("extreme", "extreme_c = nan"),  # x >= nan is False: a vacuous pass
+    ("extreme", "extreme_c = inf"),
     ("lsc", "eta_count = 2"),
     ("lsc", "e_values ="),
+    ("lsc", "e_values = 0.0,0.0"),  # every row twice
+    ("lsc", "e_values = nan"),
+    ("lsc", "e_values = 6.0"),  # outside |E| <= 5
     ("lsc", "eta_min_exponent = 0"),
+    ("lsc", "eta_min_exponent = -1.0"),  # eta_min = 1/N
     ("dbm-relax", "n_list = 256\nreference_samples = 0"),
     ("counting", "master_seed = -1"),
     ("dbm-relax", "n_list = 64"),  # too few eigenvalues in the gap window
@@ -211,3 +217,25 @@ def test_bad_config_fails_when_built(tmp_path, capsys, command, lines):
     assert main([command, "--config", str(cfg_file), "--out", str(out), "--quiet"]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Every runner but dbm-relax (whose gap window needs N >= 83) runs at the
+# smallest size the config accepts; edge then reports two top eigenvalues.
+@pytest.mark.parametrize("command, lines", [
+    ("rigidity", ""),
+    ("counting", ""),
+    ("extreme", ""),
+    ("lsc", ""),
+    ("edge", "distribution_b = rademacher"),
+])
+def test_runners_run_at_n2(tmp_path, command, lines):
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text(f"{lines}\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_file), "--n", "2", "--samples", "4",
+            "--out", str(out), "--quiet"]
+    assert main(argv) in (EXIT_OK, EXIT_CHECK_FAILED)
+    with open(out / f"{command}.csv") as fh:
+        header = next(csv.reader(fh))
+    if command == "edge":
+        assert header == ["ensemble", "sample_index", "top_1", "top_2", "bottom"]

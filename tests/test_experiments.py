@@ -131,9 +131,8 @@ def test_calibration_loads():
 
 
 def test_lsc_grid_outside_window_rejected():
-    cfg = ExperimentConfig(n_list=[64], samples_per_n=2, eta_min_exponent=-2.0)
     with pytest.raises(ConfigError):
-        run_lsc(cfg)
+        run_lsc(ExperimentConfig(n_list=[64], samples_per_n=2, eta_min_exponent=-2.0))
 
 
 def test_edge_requires_two_distributions():

@@ -16,7 +16,7 @@ from wignerlab.cli import build_config, read_config  # noqa: E402
 from wignerlab.experiments import ExperimentConfig  # noqa: E402
 from wignerlab.semicircle import m_sc  # noqa: E402
 
-# the spectral window of semicircle.SpectralGrid: |E| <= 5, 0 < eta <= 10
+# the paper's spectral domain: |E| <= 5, 0 < eta <= 10
 window = st.builds(complex, st.floats(-5.0, 5.0), st.floats(1e-9, 10.0))
 
 
@@ -47,11 +47,9 @@ def configs(draw):
         distribution_b=draw(maybe(st.sampled_from(DISTRIBUTIONS))),
         symmetry=draw(st.sampled_from(["symmetric", "hermitian"])),
         master_seed=draw(st.integers(0, 2**32)),
-        e_values=draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3)),
+        e_values=draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3, unique=True)),
         eta_count=draw(st.integers(3, 50)),
-        eta_min_exponent=draw(st.floats(-1.0, -1e-3)),
-        l_param=draw(maybe(st.floats(0.01, 1.0))),
-        top_k=draw(st.integers(1, n_list[-1])),
+        eta_min_exponent=draw(st.floats(-1.0, -1e-3, exclude_min=True)),
         extreme_c=draw(maybe(st.floats(0.1, 10.0))),
         allow_moment_mismatch=draw(st.booleans()),
         t_list=draw(maybe(times)),

@@ -11,8 +11,6 @@ from wignerlab.semicircle import (
     _brentq,
     classical_locations,
     m_sc,
-    make_grid,
-    max_l_param,
     n_sc,
     rho_sc,
 )
@@ -133,13 +131,3 @@ def test_spectral_point_validation():
         SpectralPoint(0.0, 0.0)
     pt = SpectralPoint(-2.5, 0.1)
     assert pt.z == complex(-2.5, 0.1)
-
-
-def test_grid_validation():
-    grid = make_grid(512, [0.0, 1.0], [0.01, 0.1, 1.0])
-    assert len(grid.points) == 6
-    assert grid.l_param > 0
-    with pytest.raises(SpectralDomainError):
-        make_grid(512, [6.0], [0.1])
-    with pytest.raises(SpectralDomainError):
-        max_l_param(512, 1e-3)  # below 1/n
