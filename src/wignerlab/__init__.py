@@ -32,6 +32,7 @@ from .resolvent import (
     GreenSnapshot,
     MinorSpec,
     control_params,
+    control_sweep,
     green_at,
     identity_residuals,
     k_quantity,

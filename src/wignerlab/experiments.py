@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dbm
 from .profile import VarianceProfile, band_profile, flat_profile
-from .resolvent import control_params, green_at
+from .resolvent import control_sweep
 from .sampler import HERMITIAN, SYMMETRIC, derive_stream, from_name, sample_indexed
 from .semicircle import SpectralPoint, classical_locations, m_sc, n_sc
 
@@ -269,11 +269,10 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
         ]
 
         def one(s):
-            out = []
-            for z, denom in zip(pts, denoms):
-                snap = control_params(green_at(s, z), z)
-                out.append((snap.lam, snap.lambda_o / denom))
-            return out
+            return [
+                (snap.lam, snap.lambda_o / denom)
+                for snap, denom in zip(control_sweep(s, pts), denoms)
+            ]
 
         per_sample = monte_carlo(cfg, n, one)
         med_by_e = {}
@@ -490,6 +489,13 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.n_list[-1]
     t_list = cfg.t_list if cfg.t_list is not None else [0.0, 0.5 / n, 2.0 / n, 8.0 / n, 4.0]
     gamma = classical_locations(n)
+    if cfg.samples_per_n > 10**5 or (len(t_list) > 10 and cfg.samples_per_n > 1):
+        # sample i's stream ti*10**5 + i: i >= 10**5 reaches the next flow
+        # time's, and ti = 10, i = 1 is the reference's 10**6 + 1
+        raise ConfigError(
+            f"dbm-relax streams collide at samples_per_n = {cfg.samples_per_n} with {len(t_list)} "
+            "flow times: need samples_per_n <= 10**5, and 1 past 10 flow times"
+        )
     try:  # the gap window must hold enough eigenvalues; gamma shows it undrawn
         dbm.gap_distribution(gamma, (0.0, 1.0))
     except dbm.SampleSizeError as exc:

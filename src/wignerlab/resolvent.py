@@ -46,26 +46,37 @@ class GreenSnapshot:
     lam: float
 
 
-def _spectral_product(w: np.ndarray, u: np.ndarray, z: complex) -> np.ndarray:
-    """U diag(1/(w - z)) U^H as a complex128 array.
+class _Resolvent:
+    """U diag(1/(w - z)) U^H for one spectral factorization (w, U).
 
-    Real eigenvectors (symmetric class) take two real GEMMs, one for each of
-    Re G and Im G; complex ones (Hermitian class) take one complex GEMM.
+    The N×N work arrays are allocated once: each ``at`` overwrites the G the
+    previous one returned. Real eigenvectors (symmetric class) take two real
+    GEMMs, one for each of Re G and Im G; complex ones (Hermitian class) take
+    one complex GEMM.
     """
-    inv = 1.0 / (w - z)
-    if np.iscomplexobj(u):
-        return (u * inv) @ u.conj().T
-    g = np.empty((u.shape[0], u.shape[0]), dtype=np.complex128)
-    g.real = (u * inv.real) @ u.T
-    g.imag = (u * inv.imag) @ u.T
-    return g
+
+    def __init__(self, w: np.ndarray, u: np.ndarray):
+        self.w, self.u = w, u
+        self.uh = u.conj().T  # for real u, conj() is u itself
+        self.g = np.empty(u.shape, dtype=np.complex128)
+        self.scaled = np.empty_like(u)
+        self.part = np.empty(u.shape)  # a real GEMM's output; free once G is
+
+    def at(self, z: complex) -> np.ndarray:
+        inv = 1.0 / (self.w - z)
+        if np.iscomplexobj(self.u):
+            np.multiply(self.u, inv, out=self.scaled)
+            return np.matmul(self.scaled, self.uh, out=self.g)
+        for half, factor in ((self.g.real, inv.real), (self.g.imag, inv.imag)):
+            np.multiply(self.u, factor, out=self.scaled)
+            half[...] = np.matmul(self.scaled, self.uh, out=self.part)
+        return self.g
 
 
 def green_at(s: WignerSample, z: SpectralPoint) -> np.ndarray:
     """Full resolvent G = (H - z)^-1 from the sample's cached spectral
-    factorization."""
-    w, u = s.eigen_pair()
-    return _spectral_product(w, u, z.z)
+    factorization, as a fresh complex128 array."""
+    return _Resolvent(*s.eigen_pair()).at(z.z)
 
 
 def ward_residual(g: np.ndarray, z: SpectralPoint, relative: bool = False) -> float:
@@ -78,14 +89,24 @@ def ward_residual(g: np.ndarray, z: SpectralPoint, relative: bool = False) -> fl
     return float(res.max())
 
 
-def control_params(g: np.ndarray, z: SpectralPoint) -> GreenSnapshot:
+def control_params(g: np.ndarray, z: SpectralPoint, out: np.ndarray | None = None) -> GreenSnapshot:
     """Largest off-diagonal entry of G and the averaged deviation
-    |m_N - m_sc| of its normalized trace from the semicircle transform."""
-    off = np.abs(g)
+    |m_N - m_sc| of its normalized trace from the semicircle transform.
+
+    |G| is written into ``out`` (a real N×N array) when one is given.
+    """
+    off = np.abs(g, out=out)
     np.fill_diagonal(off, 0.0)
     lambda_o = float(off.max()) if g.shape[0] > 1 else 0.0
     lam = abs(complex(np.diag(g).mean()) - m_sc(z))
     return GreenSnapshot(lambda_o=lambda_o, lam=lam)
+
+
+def control_sweep(s: WignerSample, pts: list[SpectralPoint]) -> list[GreenSnapshot]:
+    """``control_params(green_at(s, z), z)`` for each z in pts, with the same
+    bits, computed in N×N work arrays allocated once for the sample."""
+    r = _Resolvent(*s.eigen_pair())
+    return [control_params(r.at(z.z), z, out=r.part) for z in pts]
 
 
 def minor_green(s: WignerSample, t: MinorSpec, z: SpectralPoint) -> np.ndarray:
@@ -96,9 +117,7 @@ def minor_green(s: WignerSample, t: MinorSpec, z: SpectralPoint) -> np.ndarray:
     keep = t.keep(s.n)
     if keep.size == 0:
         raise ValueError("minor removes every index")
-    hm = s.h[np.ix_(keep, keep)]
-    w, u = np.linalg.eigh(hm)
-    return _spectral_product(w, u, z.z)
+    return green_at(WignerSample(h=s.h[np.ix_(keep, keep)]), z)
 
 
 def k_quantity(s: WignerSample, t: MinorSpec, i: int, j: int, z: SpectralPoint):

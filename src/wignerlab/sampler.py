@@ -98,8 +98,8 @@ def from_name(name: str) -> EntryDistribution:
         return two_point(float(name.split(":", 1)[1]))
     if name.startswith("gaussian:scale="):
         scale = float(name.split("=", 1)[1])
-        if not math.isfinite(scale):
-            raise DistributionError(f"scale {scale} in {name!r} must be finite")
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise DistributionError(f"scale {scale} in {name!r} must be finite and > 0")
         return gaussian(scale)
     raise DistributionError(f"unknown distribution name {name!r}")
 

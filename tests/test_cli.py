@@ -206,6 +206,12 @@ BAD_CONFIGS = [
     ("dbm-relax", "n_list = 256\nreference_samples = 0"),
     ("counting", "master_seed = -1"),
     ("dbm-relax", "n_list = 64"),  # too few eigenvalues in the gap window
+    # streams ti*10**5 + i collide: across flow times, and at ti = 10, i = 1
+    # with the equilibrium reference's 10**6 + 1
+    ("dbm-relax", "n_list = 256\nsamples_per_n = 100001"),
+    ("dbm-relax", "n_list = 256\nt_list = 0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,4.0"),
+    ("counting", "distribution = gaussian:scale=0"),  # an all-zero matrix passes extreme
+    ("counting", "distribution = gaussian:scale=-1"),
 ]
 
 

@@ -9,6 +9,7 @@ from wignerlab.resolvent import (
     MinorSpec,
     SingularityError,
     control_params,
+    control_sweep,
     green_at,
     identity_residuals,
     k_quantity,
@@ -109,6 +110,61 @@ def test_green_hermitian_bytes_unchanged():
         assert g.tobytes() == spectral_formula(w, u, z.z).tobytes()
         gm = minor_green(s, spec, z)
         assert gm.tobytes() == spectral_formula(wm, um, z.z).tobytes()
+
+
+def two_gemm_formula(w, u, z):
+    # the arithmetic green_at keeps bit for bit: one complex GEMM for complex
+    # eigenvectors, one real GEMM each for Re G and Im G for real ones
+    if np.iscomplexobj(u):
+        return spectral_formula(w, u, z)
+    inv = 1.0 / (w - z)
+    g = np.empty(u.shape, dtype=np.complex128)
+    g.real = (u * inv.real) @ u.T
+    g.imag = (u * inv.imag) @ u.T
+    return g
+
+
+# N = 130 is large enough for the GEMMs to take the multithreaded BLAS path
+@pytest.mark.parametrize("sym", [SYMMETRIC, HERMITIAN])
+@pytest.mark.parametrize("n", [2, 3, 130])
+def test_control_sweep_bits_equal_green_at(sym, n):
+    s = make_sample(n, sym=sym, seed=17)
+    w, u = s.eigen_pair()
+    pts = [SpectralPoint(e, float(eta)) for e in (0.0, -1.9)
+           for eta in np.geomspace(n**-0.9, 1.0, 5)]
+    snaps = control_sweep(s, pts)
+    assert len(snaps) == len(pts)
+    for z, snap in zip(pts, snaps):
+        g = green_at(s, z)
+        assert g.tobytes() == two_gemm_formula(w, u, z.z).tobytes()
+        ref = control_params(g, z)
+        assert (snap.lam, snap.lambda_o) == (ref.lam, ref.lambda_o)
+
+
+def test_green_at_returns_fresh_array():
+    s = make_sample(130, seed=3)
+    z1, z2 = SpectralPoint(0.0, 0.1), SpectralPoint(0.5, 0.01)
+    g1 = green_at(s, z1)
+    before = g1.tobytes()
+    g2 = green_at(s, z2)
+    control_sweep(s, [z2, z1])
+    assert not np.shares_memory(g1, g2)
+    assert g1.tobytes() == before
+
+
+def test_nonfinite_spectrum_raises_on_every_path():
+    # a NaN entry: LAPACK either fails to converge or returns NaN eigenvalues,
+    # and neither may come back as an all-NaN resolvent
+    s = make_sample(130, seed=5)
+    h = s.h.copy()
+    h[129, 129] = np.nan
+    set_matrix(s, h)
+    z = SpectralPoint(0.0, 1.0)
+    for resolve in (lambda: green_at(s, z), lambda: minor_green(s, MinorSpec.of(0), z),
+                    lambda: control_sweep(s, [z])):
+        with pytest.raises((FloatingPointError, np.linalg.LinAlgError)):
+            resolve()
+    assert np.all(np.isfinite(minor_green(s, MinorSpec.of(129), z)))
 
 
 def test_green_inverse_residual():
