@@ -172,7 +172,9 @@ def make_parser() -> _Parser:
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--samples", type=int, default=None, help="samples per size (default: config value)")
         sp.add_argument("--n", default=None, help="comma-separated dimensions (default: config value)")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads (default: 1)")
+        sp.add_argument("--threads", type=int, default=None, help=(
+            "worker threads; they overlap sampling and statistics, while factorizations and "
+            "resolvent products run one at a time (default: 1)"))
         sp.add_argument("--quiet", action="store_true", help="suppress per-check output (default: off)")
 
     for name in RUNNERS:

@@ -17,7 +17,7 @@ import numpy as np
 from . import dbm
 from .profile import VarianceProfile, band_profile, flat_profile
 from .resolvent import control_sweep
-from .sampler import HERMITIAN, SYMMETRIC, derive_stream, from_name, sample_indexed
+from .sampler import HERMITIAN, SYMMETRIC, WignerSample, derive_stream, from_name, sample_indexed
 from .semicircle import SpectralPoint, classical_locations, m_sc, n_sc
 
 
@@ -513,7 +513,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
         def one(i, t=t, ti=ti):
             stream = derive_stream(cfg.master_seed, ti * 10**5 + i)
             ht = dbm.ou_endpoint(h0, t, cfg.symmetry, stream)
-            eigs = np.linalg.eigvalsh(ht)
+            eigs = WignerSample(h=ht).eigenvalues()
             gaps = dbm.gap_distribution(eigs, (0.0, 1.0))
             off_mean = float(np.mean(np.abs(ht[iu]) ** 2)) * n
             diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n

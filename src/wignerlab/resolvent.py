@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import WignerSample
+from .sampler import BLAS_LOCK, WignerSample
 from .semicircle import SpectralPoint, m_sc
 
 
@@ -21,10 +21,6 @@ class MinorSpec:
 
     t: frozenset[int]
 
-    @staticmethod
-    def of(*indices: int) -> "MinorSpec":
-        return MinorSpec(frozenset(indices))
-
     def check(self, n: int) -> None:
         for i in self.t:
             if not 0 <= i < n:
@@ -33,9 +29,6 @@ class MinorSpec:
     def keep(self, n: int) -> np.ndarray:
         self.check(n)
         return np.array([i for i in range(n) if i not in self.t], dtype=int)
-
-
-EMPTY = MinorSpec(frozenset())
 
 
 @dataclass(frozen=True)
@@ -52,7 +45,7 @@ class _Resolvent:
     The N×N work arrays are allocated once: each ``at`` overwrites the G the
     previous one returned. Real eigenvectors (symmetric class) take two real
     GEMMs, one for each of Re G and Im G; complex ones (Hermitian class) take
-    one complex GEMM.
+    one complex GEMM. The GEMMs hold ``BLAS_LOCK``.
     """
 
     def __init__(self, w: np.ndarray, u: np.ndarray):
@@ -66,10 +59,13 @@ class _Resolvent:
         inv = 1.0 / (self.w - z)
         if np.iscomplexobj(self.u):
             np.multiply(self.u, inv, out=self.scaled)
-            return np.matmul(self.scaled, self.uh, out=self.g)
+            with BLAS_LOCK:
+                return np.matmul(self.scaled, self.uh, out=self.g)
         for half, factor in ((self.g.real, inv.real), (self.g.imag, inv.imag)):
             np.multiply(self.u, factor, out=self.scaled)
-            half[...] = np.matmul(self.scaled, self.uh, out=self.part)
+            with BLAS_LOCK:
+                np.matmul(self.scaled, self.uh, out=self.part)
+            half[...] = self.part
         return self.g
 
 

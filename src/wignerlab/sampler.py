@@ -8,6 +8,7 @@ master seed.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,11 @@ def from_name(name: str) -> EntryDistribution:
     raise DistributionError(f"unknown distribution name {name!r}")
 
 
+# OpenBLAS runs a factorization or GEMM on all its threads, so two at once
+# oversubscribe the cores. They hold this lock, never nested; pool workers overlap the rest.
+BLAS_LOCK = threading.Lock()
+
+
 @dataclass
 class WignerSample:
     """A realized matrix with a lazily computed eigendecomposition cache."""
@@ -118,12 +124,15 @@ class WignerSample:
 
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            self._eigenvalues = _finite(np.linalg.eigvalsh(self.h))
+            with BLAS_LOCK:
+                w = np.linalg.eigvalsh(self.h)
+            self._eigenvalues = _finite(w)
         return self._eigenvalues
 
     def eigen_pair(self):
         if self._eigenvectors is None:
-            w, u = np.linalg.eigh(self.h)
+            with BLAS_LOCK:
+                w, u = np.linalg.eigh(self.h)
             self._eigenvalues, self._eigenvectors = _finite(w), u
         return self._eigenvalues, self._eigenvectors
 

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,13 +20,14 @@ from wignerlab.experiments import (
     nearest_rank_quantile,
     rigidity_stats,
     run_counting,
+    run_dbm_relax,
     run_edge,
     run_extreme_bound,
     run_lsc,
     run_rigidity,
     slope_fit,
 )
-from wignerlab.sampler import from_name, sample_indexed
+from wignerlab.sampler import HERMITIAN, from_name, sample_indexed
 from wignerlab.semicircle import classical_locations, n_sc
 
 
@@ -193,6 +196,58 @@ def test_report_determinism_across_threads(tmp_path):
         hashes.append(rep.content_hash())
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("runner, cfg", [
+    (run_edge, dict(symmetry=HERMITIAN, distribution_b="rademacher")),
+    (run_rigidity, dict()),
+], ids=["edge-hermitian", "rigidity-symmetric"])
+def test_report_determinism_across_threads_at_n256(tmp_path, runner, cfg):
+    """At N = 256 the eigenvalue bits depend on the BLAS thread count, so the
+    pool must not change the threads a factorization runs on."""
+    csvs, hashes = [], []
+    for threads in (1, 2, 4):
+        rep = runner(ExperimentConfig(n_list=[256], samples_per_n=8, threads=threads, **cfg))
+        path = tmp_path / f"{threads}.csv"
+        rep.write_csv(path)
+        csvs.append(path.read_bytes())
+        hashes.append(rep.content_hash())
+    assert len(set(csvs)) == 1
+    assert len(set(hashes)) == 1
+
+
+def test_blas_calls_run_one_at_a_time(monkeypatch):
+    """Pool workers overlap sampling and statistics, never two
+    factorizations or resolvent products."""
+    guard = threading.Lock()
+    state = {"active": 0, "peak": 0, "calls": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            with guard:
+                state["active"] += 1
+                state["calls"] += 1
+                state["peak"] = max(state["peak"], state["active"])
+            try:
+                time.sleep(0.02)
+                return fn(*args, **kwargs)
+            finally:
+                with guard:
+                    state["active"] -= 1
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    monkeypatch.setattr(np, "matmul", counted(np.matmul))
+    runs = [
+        (run_lsc, dict(n_list=[8], eta_count=3)),
+        (run_edge, dict(n_list=[8], symmetry=HERMITIAN, distribution_b="rademacher")),
+        (run_dbm_relax, dict(n_list=[96], samples_per_n=2, reference_samples=1)),
+    ]
+    for runner, cfg in runs:
+        state.update(peak=0, calls=0)
+        runner(ExperimentConfig(**{"samples_per_n": 8, **cfg, "threads": 4}))
+        assert state["calls"] > 0 and state["peak"] == 1, (runner.__name__, state)
 
 
 def test_report_rerun_byte_identical(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from wignerlab.profile import flat_profile
 from wignerlab.resolvent import (
-    EMPTY,
     MinorSpec,
     SingularityError,
     control_params,
@@ -24,6 +23,12 @@ from wignerlab.sampler import (
     sample_matrix,
 )
 from wignerlab.semicircle import SpectralPoint, m_sc
+
+EMPTY = MinorSpec(frozenset())
+
+
+def minor(*indices):
+    return MinorSpec(frozenset(indices))
 
 
 def make_sample(n, sym=SYMMETRIC, seed=0, index=0):
@@ -99,7 +104,7 @@ def test_green_symmetric_matches_complex_formula(n):
 def test_green_hermitian_bytes_unchanged():
     n = 48
     s = make_sample(n, sym=HERMITIAN, seed=13)
-    spec = MinorSpec.of(0, 5, 30)
+    spec = minor(0, 5, 30)
     keep = spec.keep(n)
     wm, um = np.linalg.eigh(s.h[np.ix_(keep, keep)])
     w, u = s.eigen_pair()
@@ -160,11 +165,11 @@ def test_nonfinite_spectrum_raises_on_every_path():
     h[129, 129] = np.nan
     set_matrix(s, h)
     z = SpectralPoint(0.0, 1.0)
-    for resolve in (lambda: green_at(s, z), lambda: minor_green(s, MinorSpec.of(0), z),
+    for resolve in (lambda: green_at(s, z), lambda: minor_green(s, minor(0), z),
                     lambda: control_sweep(s, [z])):
         with pytest.raises((FloatingPointError, np.linalg.LinAlgError)):
             resolve()
-    assert np.all(np.isfinite(minor_green(s, MinorSpec.of(129), z)))
+    assert np.all(np.isfinite(minor_green(s, minor(129), z)))
 
 
 def test_green_inverse_residual():
@@ -223,7 +228,7 @@ def test_minor_empty_equals_full():
 def test_minor_trailing_block():
     s = make_sample(3)
     z = SpectralPoint(-0.3, 0.7)
-    gm = minor_green(s, MinorSpec.of(0), z)
+    gm = minor_green(s, minor(0), z)
     block = s.h[1:, 1:]
     ref = np.linalg.solve(block - z.z * np.eye(2), np.eye(2))
     assert np.allclose(gm, ref, atol=1e-12)
@@ -232,15 +237,15 @@ def test_minor_trailing_block():
 def test_minor_deletion_commutes():
     s = make_sample(7)
     z = SpectralPoint(0.0, 0.5)
-    a = minor_green(s, MinorSpec.of(1, 4), z)
-    b = minor_green(s, MinorSpec.of(4, 1), z)
+    a = minor_green(s, minor(1, 4), z)
+    b = minor_green(s, minor(4, 1), z)
     assert np.array_equal(a, b)
 
 
 def test_minor_cannot_remove_all():
     s = make_sample(3)
     with pytest.raises(ValueError):
-        minor_green(s, MinorSpec.of(0, 1, 2), SpectralPoint(0, 1))
+        minor_green(s, minor(0, 1, 2), SpectralPoint(0, 1))
 
 
 def test_k_quantity_inverse_identity():
@@ -274,7 +279,7 @@ def test_k_quantity_zero_matrix():
 def test_k_quantity_rejects_removed_index():
     s = make_sample(5)
     with pytest.raises(IndexError):
-        k_quantity(s, MinorSpec.of(2), 2, 3, SpectralPoint(0, 1))
+        k_quantity(s, minor(2), 2, 3, SpectralPoint(0, 1))
 
 
 def test_partial_expectation_against_monte_carlo():
@@ -283,7 +288,7 @@ def test_partial_expectation_against_monte_carlo():
     n, i, m = 12, 4, 10**4
     s = make_sample(n, seed=7)
     z = SpectralPoint(0.3, 0.5)
-    spec = MinorSpec.of(i)
+    spec = minor(i)
     keep = spec.keep(n)
     gm = minor_green(s, spec, z)
     sig = np.sqrt(flat_profile(n).sigma2[keep, i])
