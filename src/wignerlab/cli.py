@@ -12,10 +12,11 @@ import json
 import sys
 import types
 import typing
+from dataclasses import asdict
 from pathlib import Path
 
 from . import profile as profile_mod
-from .experiments import RUNNERS, ConfigError, ExperimentConfig, profile_from_spec
+from .experiments import READS, RUNNERS, ConfigError, ExperimentConfig, profile_from_spec
 from .resolvent import MinorSpec, green_at, identity_residuals, ward_residual
 from .sampler import SYMMETRIC, HERMITIAN, derive_stream, gaussian, sample_matrix
 from .semicircle import SpectralPoint, classical_locations
@@ -34,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config(path: str) -> dict:
-    """Flat key=value file with dotted namespaces; '#' starts a comment."""
+    """Flat key=value file with dotted namespaces, each key set once; '#' starts a comment."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -43,6 +44,9 @@ def read_config(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        name = key.removeprefix("experiment.")
+        if any(k.removeprefix("experiment.") == name for k in out):
+            raise ConfigError(f"{path}:{lineno}: config key {name!r} set twice")
         out[key] = value
     return out
 
@@ -54,8 +58,8 @@ def build_config(file_values: dict, args) -> ExperimentConfig:
     values = {}
     for key, value in file_values.items():
         name = key.removeprefix("experiment.")
-        if name not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
+        if name not in READS[args.command]:
+            raise ConfigError(f"{args.command} does not read config key {key!r}")
         values[name] = _coerce(name, value)
     # flags override config keys
     if args.n:
@@ -103,12 +107,7 @@ def _write_outputs(report, out_dir: str, quiet: bool) -> int:
 def cmd_check_profile(args) -> int:
     p = profile_from_spec(args.profile, args.n_dim)
     rep = profile_mod.assumption_report(p)
-    summary = {
-        "n": p.n, "kind": p.kind, "c_inf": rep.c_inf, "c_sup": rep.c_sup,
-        "row_sum_residual": rep.row_sum_residual,
-        "delta_minus": rep.delta_minus, "delta_plus": rep.delta_plus,
-        "eigenvalue_one_simple": rep.eigenvalue_one_simple,
-    }
+    summary = {"n": p.n, "kind": p.kind, "c_inf": p.c_inf, "c_sup": p.c_sup, **asdict(rep)}
     print(json.dumps(summary, indent=2, sort_keys=True))
     ok = rep.eigenvalue_one_simple and rep.row_sum_residual <= 1e-10
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -150,7 +149,7 @@ def cmd_identities(args) -> int:
         rest = [x for x in range(n) if x not in t.t]
         i, j, k = (int(x) for x in rng.choice(rest, 3, replace=False))
         res = identity_residuals(s, z, t, i, j, k)
-        wres = ward_residual(green_at(s, z), z, relative=True)
+        wres = ward_residual(green_at(s, z), z)
         worst = [max(a, b) for a, b in zip(worst, [*res, wres])]
     names = ["inverse", "offdiag", "diag_minor", "offdiag_minor", "ward"]
     ok = True

@@ -133,6 +133,9 @@ class ExperimentReport:
     fits: dict
     checks: list[Check]
 
+    def __post_init__(self):
+        self.config = {k: v for k, v in self.config.items() if k in READS[self.name]}
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -429,7 +432,9 @@ def run_edge(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError(
             f"first or second moments of {cfg.distribution} and {cfg.distribution_b} differ"
         )
-    n = cfg.n_list[-1]
+    if len(cfg.n_list) > 1:
+        raise ConfigError(f"edge runs at one size, not n_list {cfg.n_list}")
+    n = cfg.n_list[0]
     cfg_b = replace(cfg, distribution=cfg.distribution_b, master_seed=cfg.master_seed + 1)
     top_k = min(3, n)  # the three largest eigenvalues; at N = 2 there are two
     fluct = lambda s: edge_fluctuations(s.eigenvalues(), top_k)
@@ -486,7 +491,9 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     """Relaxation of gap statistics from the rigid classical-location start
     toward the Gaussian equilibrium, plus the entry-variance interpolation."""
     calib = load_calibration()
-    n = cfg.n_list[-1]
+    if len(cfg.n_list) > 1:
+        raise ConfigError(f"dbm-relax runs at one size, not n_list {cfg.n_list}")
+    n = cfg.n_list[0]
     t_list = cfg.t_list if cfg.t_list is not None else [0.0, 0.5 / n, 2.0 / n, 8.0 / n, 4.0]
     gamma = classical_locations(n)
     if cfg.samples_per_n > 10**5 or (len(t_list) > 10 and cfg.samples_per_n > 1):
@@ -559,6 +566,19 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     fits = {f"ks_t{t}": k for t, k in ks_by_t.items()}
     return ExperimentReport("dbm-relax", asdict(cfg), columns, rows, fits, checks)
 
+
+# The config fields each runner reads. The CLI rejects any other field, and a
+# report records, and hashes, only these.
+_ENSEMBLE = {"n_list", "samples_per_n", "profile", "distribution", "symmetry", "master_seed",
+             "threads"}
+READS = {
+    "lsc": _ENSEMBLE | {"e_values", "eta_count", "eta_min_exponent"},
+    "rigidity": _ENSEMBLE,
+    "counting": _ENSEMBLE,
+    "edge": _ENSEMBLE | {"distribution_b", "allow_moment_mismatch"},
+    "extreme": _ENSEMBLE | {"extreme_c"},
+    "dbm-relax": _ENSEMBLE - {"profile", "distribution"} | {"t_list", "reference_samples"},
+}
 
 RUNNERS = {
     "lsc": run_lsc,

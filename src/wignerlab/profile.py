@@ -88,12 +88,9 @@ class AssumptionReport:
     """Spectral diagnostics of a profile against the model assumptions."""
 
     row_sum_residual: float
-    spectrum_of_b: np.ndarray
     delta_minus: float
     delta_plus: float
     eigenvalue_one_simple: bool
-    c_inf: float
-    c_sup: float
 
 
 def flat_profile(n: int) -> VarianceProfile:
@@ -136,7 +133,7 @@ def symmetric_offsets(n: int) -> np.ndarray:
 
 
 def assumption_report(p: VarianceProfile) -> AssumptionReport:
-    """Spectrum of the variance matrix and the spectral-gap parameters.
+    """Spectral-gap parameters of the variance matrix.
 
     delta_plus/minus locate Spec(B) \\ {1} inside [-1+delta_-, 1-delta_+];
     eigenvalue 1 counts as simple when exactly one eigenvalue lies within
@@ -155,10 +152,7 @@ def assumption_report(p: VarianceProfile) -> AssumptionReport:
         delta_plus = delta_minus = 1.0
     return AssumptionReport(
         row_sum_residual=row_sum_residual,
-        spectrum_of_b=spec,
         delta_minus=delta_minus,
         delta_plus=delta_plus,
         eigenvalue_one_simple=simple,
-        c_inf=p.c_inf,
-        c_sup=p.c_sup,
     )

@@ -75,14 +75,11 @@ def green_at(s: WignerSample, z: SpectralPoint) -> np.ndarray:
     return _Resolvent(*s.eigen_pair()).at(z.z)
 
 
-def ward_residual(g: np.ndarray, z: SpectralPoint, relative: bool = False) -> float:
-    """Deviation from sum_l |G_kl|^2 = Im G_kk / eta, maximized over k."""
+def ward_residual(g: np.ndarray, z: SpectralPoint) -> float:
+    """Largest relative deviation from sum_l |G_kl|^2 = Im G_kk / eta over k."""
     lhs = np.sum(np.abs(g) ** 2, axis=1)
     rhs = np.diag(g).imag / z.eta
-    res = np.abs(lhs - rhs)
-    if relative:
-        res = res / np.abs(rhs)
-    return float(res.max())
+    return float((np.abs(lhs - rhs) / np.abs(rhs)).max())
 
 
 def control_params(g: np.ndarray, z: SpectralPoint, out: np.ndarray | None = None) -> GreenSnapshot:

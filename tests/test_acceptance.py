@@ -62,7 +62,7 @@ def test_criterion_1_identity_suite():
         i, j, k = (int(x) for x in rng.choice(rest, 3, replace=False))
         worst = max(worst, *identity_residuals(s, z_pt, t, i, j, k))
         g = green_at(s, z_pt)
-        worst = max(worst, ward_residual(g, z_pt, relative=True))
+        worst = max(worst, ward_residual(g, z_pt))
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 30.0
     assert verdict(

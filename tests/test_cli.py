@@ -174,7 +174,7 @@ BAD_CONFIGS = [
     ("counting", "symmetry = orthogonal"),
     ("counting", "distribution = cauchy"),
     ("counting", "distribution = two_point:1.5"),
-    ("counting", "distribution_b = cauchy"),
+    ("edge", "distribution_b = cauchy"),
     ("counting", "profile = band:w=wide"),
     ("counting", "profile = band:w=0"),
     ("counting", "profile = band:w=17"),
@@ -191,7 +191,7 @@ BAD_CONFIGS = [
     ("lsc", "n_list = 32,32"),  # every row twice
     ("counting", "n_list = 64,32"),
     ("counting", "samples_per_n = two"),
-    ("counting", "allow_moment_mismatch = maybe"),
+    ("edge", "allow_moment_mismatch = maybe"),
     ("counting", "distribution = gaussian:scale=nan"),  # LinAlgError mid-run
     ("edge", "distribution_b = gaussian:scale=nan"),  # abs(nan - 1) > 1e-12 is False
     ("extreme", "extreme_c = nan"),  # x >= nan is False: a vacuous pass
@@ -212,13 +212,30 @@ BAD_CONFIGS = [
     ("dbm-relax", "n_list = 256\nt_list = 0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,4.0"),
     ("counting", "distribution = gaussian:scale=0"),  # an all-zero matrix passes extreme
     ("counting", "distribution = gaussian:scale=-1"),
+    # a field the runner does not read would be recorded but change nothing
+    ("rigidity", "extreme_c = 3"),
+    ("rigidity", "t_list = 0,1,2"),
+    ("rigidity", "distribution_b = rademacher"),
+    ("rigidity", "eta_count = 5"),
+    ("dbm-relax", "n_list = 130\nprofile = band:w=8"),  # the flow is always flat Gaussian
+    ("dbm-relax", "n_list = 130\ndistribution = rademacher"),
+    # edge and dbm-relax run at one size
+    ("edge", "n_list = 33,64\ndistribution_b = rademacher"),
+    ("dbm-relax", "n_list = 128,256"),
+    # a repeated key: the last line would silently win
+    ("counting", "samples_per_n = 4\nsamples_per_n = 6"),
+    ("counting", "samples_per_n = 4\nexperiment.samples_per_n = 6"),
 ]
 
 
 @pytest.mark.parametrize("command, lines", BAD_CONFIGS)
 def test_bad_config_fails_when_built(tmp_path, capsys, command, lines):
+    # n_list = 32 and samples_per_n = 2 unless the row sets them, since a
+    # repeated key is itself an error
+    keys = {line.split("=")[0].strip().removeprefix("experiment.") for line in lines.splitlines()}
+    base = "".join(f"{k} = {v}\n" for k, v in [("n_list", 32), ("samples_per_n", 2)] if k not in keys)
     cfg_file = tmp_path / "run.conf"
-    cfg_file.write_text(f"n_list = 32\nsamples_per_n = 2\n{lines}\n")
+    cfg_file.write_text(f"{base}{lines}\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg_file), "--out", str(out), "--quiet"]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err

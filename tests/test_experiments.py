@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from wignerlab.experiments import (
+    READS,
+    RUNNERS,
     Check,
     ConfigError,
     ExperimentConfig,
@@ -289,3 +292,34 @@ def test_edge_fluctuations():
     scale = 6 ** (2.0 / 3.0)
     got = edge_fluctuations(eigs, 2)
     assert got.tolist() == [scale * 1.0, scale * 0.0, scale * 0.5]
+
+
+def test_reads_keyed_like_runners():
+    assert set(READS) == set(RUNNERS)
+
+
+# a valid value, other than the base config's, for every field
+OTHER_VALUE = dict(
+    n_list=[3], samples_per_n=3, profile="band:w=1", distribution="rademacher",
+    distribution_b="uniform", symmetry=HERMITIAN, master_seed=2, e_values=[1.0],
+    eta_count=5, eta_min_exponent=-0.5, extreme_c=3.0, allow_moment_mismatch=True,
+    t_list=[0.0, 1.0, 2.0], reference_samples=2, threads=2,
+)
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_unread_fields_change_nothing(tmp_path, name):
+    """A field outside READS[name] changes neither the CSV nor the report's
+    config and hash, and the config records exactly READS[name]."""
+    assert set(OTHER_VALUE) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    # dbm-relax's gap window needs N >= 83
+    base = ExperimentConfig(n_list=[83 if name == "dbm-relax" else 2], samples_per_n=2,
+                            distribution_b="rademacher", reference_samples=1)
+    want = RUNNERS[name](base)
+    want.write_csv(tmp_path / "base.csv")
+    assert set(want.config) == READS[name]
+    for field in sorted(set(OTHER_VALUE) - READS[name]):
+        rep = RUNNERS[name](dataclasses.replace(base, **{field: OTHER_VALUE[field]}))
+        rep.write_csv(tmp_path / f"{field}.csv")
+        assert (tmp_path / f"{field}.csv").read_bytes() == (tmp_path / "base.csv").read_bytes(), field
+        assert (rep.config, rep.content_hash()) == (want.config, want.content_hash()), field

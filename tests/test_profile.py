@@ -84,8 +84,9 @@ def test_band_spectrum_matches_circulant_fourier():
     weights = p.sigma2[0]
     fourier = np.sort(np.fft.fft(weights).real)
     rep = assumption_report(p)
-    assert np.allclose(np.sort(rep.spectrum_of_b), fourier, atol=1e-8)
     assert rep.eigenvalue_one_simple
+    assert rep.delta_plus == pytest.approx(1.0 - fourier[-2], abs=1e-8)
+    assert rep.delta_minus == pytest.approx(fourier[0] + 1.0, abs=1e-8)
     # upper spectral gap of order (w/n)^2
     assert 0 < rep.delta_plus < 1.0
 

@@ -2,7 +2,6 @@
 config file round trip."""
 
 import argparse
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from wignerlab.cli import build_config, read_config  # noqa: E402
-from wignerlab.experiments import ExperimentConfig  # noqa: E402
+from wignerlab.experiments import READS, ExperimentConfig  # noqa: E402
 from wignerlab.semicircle import m_sc  # noqa: E402
 
 # the paper's spectral domain: |E| <= 5, 0 < eta <= 10
@@ -67,11 +66,13 @@ def _render(value) -> str:
 
 
 @settings(deadline=None)
-@given(configs())
-def test_config_file_round_trip(cfg):
-    lines = [f"experiment.{f.name} = {_render(getattr(cfg, f.name))}"
-             for f in dataclasses.fields(cfg) if getattr(cfg, f.name) is not None]
-    no_flags = argparse.Namespace(n=None, samples=None, seed=None, threads=None)
+@given(configs(), st.sampled_from(sorted(READS)))
+def test_config_file_round_trip(drawn, command):
+    # the runner's fields as drawn, every other field at its default
+    cfg = ExperimentConfig(**{name: getattr(drawn, name) for name in READS[command]})
+    lines = [f"experiment.{name} = {_render(getattr(cfg, name))}"
+             for name in sorted(READS[command]) if getattr(cfg, name) is not None]
+    no_flags = argparse.Namespace(command=command, n=None, samples=None, seed=None, threads=None)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.conf"
         path.write_text("\n".join(lines) + "\n")
