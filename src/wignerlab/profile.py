@@ -11,6 +11,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SYMMETRY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-12
@@ -24,7 +25,11 @@ class ProfileError(ValueError):
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Immutable matrix of entry variances with assumption metadata."""
+    """Immutable matrix of entry variances with assumption metadata.
+
+    ``sigma2`` is read-only and may be a non-contiguous view (the built-in
+    profiles store O(N) numbers); ``np.array(p.sigma2)`` gives a dense copy.
+    """
 
     sigma2: np.ndarray
     kind: str
@@ -97,7 +102,7 @@ def flat_profile(n: int) -> VarianceProfile:
     """Uniform profile sigma2_ij = 1/n (the standard Wigner case)."""
     if n < 2:
         raise ProfileError(f"dimension {n} < 2")
-    return VarianceProfile(sigma2=np.full((n, n), 1.0 / n), kind="flat")
+    return VarianceProfile(sigma2=np.broadcast_to(1.0 / n, (n, n)), kind="flat")
 
 
 def band_profile(n: int, w: int, f) -> VarianceProfile:
@@ -120,10 +125,9 @@ def band_profile(n: int, w: int, f) -> VarianceProfile:
     if total <= 0:
         raise ProfileError("shape function vanishes on all admissible offsets")
     weights /= total
-    idx = np.arange(n)
-    d = (idx[:, None] - idx[None, :]) % n
-    d = np.where(d > n / 2, d - n, d)  # symmetric representative in (-n/2, n/2]
-    sigma2 = weights[np.searchsorted(offsets, d)]
+    c = np.roll(weights, offsets[0])  # c[k]: the weight at offset [k]_n
+    # circulant view over 2n numbers: sigma2[i, j] = c[(i - j) % n]
+    sigma2 = sliding_window_view(np.concatenate([c, c])[::-1], n)[n - 1 :: -1]
     return VarianceProfile(sigma2=sigma2, kind="band")
 
 

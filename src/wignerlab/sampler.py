@@ -166,10 +166,12 @@ def sample_matrix(
         upper = d.draw(stream, m)
         h = np.empty((n, n))
     elif symmetry == HERMITIAN:
-        # independent real/imaginary parts, each of variance sigma2/2
-        re = d.draw(stream, m)
-        im = d.draw(stream, m)
-        upper = (re + 1j * im) / math.sqrt(2.0)
+        # independent real/imaginary parts, each of variance sigma2/2, in one
+        # buffer: the bits of (re + 1j * im) / sqrt(2) for every draw but -0.0
+        upper = np.empty(m, dtype=complex)
+        upper.real = d.draw(stream, m)
+        upper.imag = d.draw(stream, m)
+        upper /= math.sqrt(2.0)
         h = np.empty((n, n), dtype=complex)
     else:
         raise ValueError(f"unknown symmetry class {symmetry!r}")

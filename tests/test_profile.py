@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,11 +59,60 @@ def test_band_half_bandwidth_close_to_flat():
     assert np.allclose(p.sigma2.sum(axis=0), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n,w", [(16, 3), (17, 4), (32, 8)])
+def _dense_band(n, w, f):
+    """The N x N construction band_profile used before its circulant view."""
+    offsets = symmetric_offsets(n)
+    weights = np.array([f(d / w) / w for d in offsets], dtype=float)
+    weights /= weights.sum()
+    idx = np.arange(n)
+    d = (idx[:, None] - idx[None, :]) % n
+    d = np.where(d > n / 2, d - n, d)  # symmetric representative in (-n/2, n/2]
+    return weights[np.searchsorted(offsets, d)]
+
+
+def _assert_same_as_dense(p, dense):
+    assert p.sigma2.tobytes() == dense.tobytes()
+    assert p.sigma2.sum(axis=0).tobytes() == dense.sum(axis=0).tobytes()
+    assert p.content_hash() == VarianceProfile(dense, p.kind).content_hash()
+
+
+# odd and even sizes, below and across the symmetry check's block edge
+_SIZES = [2, 3, 5, 64, 65, 130, 257]
+_BANDS = [(16, 3), (17, 4), (32, 8)] + sorted(
+    {(n, w) for n in _SIZES for w in (1, max(1, n // 8), n // 2)}
+)
+
+
+@pytest.mark.parametrize("n,w", _BANDS)
 def test_band_column_sums(n, w):
-    p = band_profile(n, w, indicator_half)
-    assert np.allclose(p.sigma2.sum(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(p.sigma2, p.sigma2.T)
+    # a shape that gives every |offset| its own weight pins the orientation
+    for f in [indicator_half, lambda x: 1.0 / (1.0 + x * x)]:
+        p = band_profile(n, w, f)
+        assert np.allclose(p.sigma2.sum(axis=0), 1.0, atol=1e-12)
+        assert np.allclose(p.sigma2, p.sigma2.T)
+        _assert_same_as_dense(p, _dense_band(n, w, f))
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_flat_matches_dense_formula(n):
+    _assert_same_as_dense(flat_profile(n), np.full((n, n), 1.0 / n))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: flat_profile(1024), lambda: band_profile(1024, 64, indicator_half)],
+    ids=["flat", "band"],
+)
+def test_profiles_take_linear_storage(build):
+    # one dense 1024 x 1024 float64 copy would be 8 MiB
+    tracemalloc.start()
+    try:
+        p = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError):
+        p.sigma2[1, 0] = 1.0
 
 
 def test_band_negative_shape_rejected():

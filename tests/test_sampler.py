@@ -172,9 +172,15 @@ def _custom_sparse(n):
     return VarianceProfile(s, "custom")
 
 
+def _band(n):
+    return band_profile(n, max(1, n // 8), lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
+
+
 _PROFILES = {
     "flat": flat_profile,
-    "band": lambda n: band_profile(n, max(1, n // 8), lambda x: 0.5 if abs(x) <= 1.0 else 0.0),
+    "band": _band,
+    # the same profile densely stored: sampling must not depend on the layout
+    "band_dense": lambda n: VarianceProfile(np.array(_band(n).sigma2), "band"),
     "custom": _custom_sparse,
 }
 
