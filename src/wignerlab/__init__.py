@@ -35,6 +35,7 @@ from .resolvent import (
     control_sweep,
     green_at,
     identity_residuals,
+    identity_trial,
     k_quantity,
     minor_green,
     ward_residual,

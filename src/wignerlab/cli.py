@@ -17,9 +17,9 @@ from pathlib import Path
 
 from . import profile as profile_mod
 from .experiments import READS, RUNNERS, ConfigError, ExperimentConfig, profile_from_spec
-from .resolvent import MinorSpec, green_at, identity_residuals, ward_residual
+from .resolvent import identity_trial
 from .sampler import SYMMETRIC, HERMITIAN, derive_stream, gaussian, sample_matrix
-from .semicircle import SpectralPoint, classical_locations
+from .semicircle import classical_locations
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -143,14 +143,7 @@ def cmd_identities(args) -> int:
     for trial in range(samples):
         sym = SYMMETRIC if trial % 2 else HERMITIAN
         s = sample_matrix(p, gaussian(), sym, rng)
-        z = SpectralPoint(float(rng.uniform(-3, 3)), float(10 ** rng.uniform(-2, 1)))
-        tsize = int(rng.integers(0, max(1, n - 4)))
-        t = MinorSpec(frozenset(int(x) for x in rng.choice(n, tsize, replace=False)))
-        rest = [x for x in range(n) if x not in t.t]
-        i, j, k = (int(x) for x in rng.choice(rest, 3, replace=False))
-        res = identity_residuals(s, z, t, i, j, k)
-        wres = ward_residual(green_at(s, z), z)
-        worst = [max(a, b) for a, b in zip(worst, [*res, wres])]
+        worst = [max(a, b) for a, b in zip(worst, identity_trial(s, rng))]
     names = ["inverse", "offdiag", "diag_minor", "offdiag_minor", "ward"]
     ok = True
     for name, value in zip(names, worst):

@@ -7,12 +7,11 @@ entry variance 1/N.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .profile import VarianceProfile, flat_profile
+from .profile import flat_profile
 from .sampler import gaussian, sample_matrix
 from .semicircle import rho_sc
 
@@ -25,10 +24,8 @@ class SampleSizeError(ValueError):
     pass
 
 
-@functools.lru_cache(maxsize=1)
-def _flat(n: int) -> VarianceProfile:
-    """The flat profile of the last dimension asked for, built once."""
-    return flat_profile(n)
+# (center, half_width) of the bulk window whose gaps are compared
+GAP_WINDOW = (0.0, 1.0)
 
 
 def _noise(n: int, symmetry: str, stream: np.random.Generator) -> np.ndarray:
@@ -37,7 +34,7 @@ def _noise(n: int, symmetry: str, stream: np.random.Generator) -> np.ndarray:
     Uses the flat profile on the diagonal too, which makes sigma2 = 1/n a
     fixed point of the variance interpolation.
     """
-    return sample_matrix(_flat(n), gaussian(), symmetry, stream).h
+    return sample_matrix(flat_profile(n), gaussian(), symmetry, stream).h
 
 
 def ou_endpoint(
@@ -76,12 +73,11 @@ def equilibrium_gap_reference(
     symmetry: str,
     samples: int,
     stream: np.random.Generator,
-    window: tuple[float, float] = (0.0, 1.0),
 ) -> np.ndarray:
-    """Pooled unfolded gaps from independent Gaussian (flat-profile) matrices."""
+    """Pooled unfolded GAP_WINDOW gaps of independent flat Gaussian matrices."""
     pools = []
-    p = _flat(n)
+    p = flat_profile(n)
     for _ in range(samples):
         s = sample_matrix(p, gaussian(), symmetry, stream)
-        pools.append(gap_distribution(s.eigenvalues(), window))
+        pools.append(gap_distribution(s.eigenvalues(), GAP_WINDOW))
     return np.concatenate(pools)

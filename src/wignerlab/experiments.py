@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import dbm
-from .profile import VarianceProfile, band_profile, flat_profile
+from .profile import ProfileError, VarianceProfile, band_profile, flat_profile
 from .resolvent import control_sweep
 from .sampler import HERMITIAN, SYMMETRIC, WignerSample, derive_stream, from_name, sample_indexed
 from .semicircle import SpectralPoint, classical_locations, m_sc, n_sc
@@ -63,7 +63,7 @@ class ExperimentConfig:
                 from_name(self.distribution_b)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        _band_width(self.profile, self.n_list[0])
+        profile_from_spec(self.profile, self.n_list[0])
         # the paper's spectral domain |E| <= 5; abs(nan) <= 5.0 is False
         e = self.e_values
         if not e or len(set(e)) < len(e) or not all(abs(x) <= 5.0 for x in e):
@@ -96,25 +96,17 @@ def _increasing(xs: list) -> bool:
     return all(a < b for a, b in zip(xs, xs[1:]))
 
 
-def _band_width(spec: str, n: int) -> int | None:
-    """Width w of a `band:w=<int>` profile spec, checked against dimension n;
-    None for `flat`."""
-    head, _, w = spec.partition("=")
-    if spec != "flat" and not (head == "band:w" and w.isdecimal()):
-        raise ConfigError(f"unknown profile spec {spec!r}")
-    if n < 2:
-        raise ConfigError(f"dimension {n} < 2")
-    if w and not 1 <= int(w) <= n // 2:
-        raise ConfigError(f"band width {w} outside [1, {n // 2}]")
-    return int(w) if w else None
-
-
 def profile_from_spec(spec: str, n: int) -> VarianceProfile:
     """The profile a `flat` or `band:w=<int>` spec names at dimension n."""
-    w = _band_width(spec, n)
-    if w is None:
-        return flat_profile(n)
-    return band_profile(n, w, lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
+    head, _, w = spec.partition("=")
+    try:
+        if spec == "flat":
+            return flat_profile(n)
+        if head == "band:w" and w.isdecimal():
+            return band_profile(n, int(w), lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
+    except ProfileError as exc:
+        raise ConfigError(str(exc)) from exc
+    raise ConfigError(f"unknown profile spec {spec!r}")
 
 
 @dataclass
@@ -504,7 +496,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             "flow times: need samples_per_n <= 10**5, and 1 past 10 flow times"
         )
     try:  # the gap window must hold enough eigenvalues; gamma shows it undrawn
-        dbm.gap_distribution(gamma, (0.0, 1.0))
+        dbm.gap_distribution(gamma, dbm.GAP_WINDOW)
     except dbm.SampleSizeError as exc:
         raise ConfigError(f"N = {n} too small for dbm-relax: {exc}") from exc
     h0 = np.diag(gamma)
@@ -521,7 +513,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             stream = derive_stream(cfg.master_seed, ti * 10**5 + i)
             ht = dbm.ou_endpoint(h0, t, cfg.symmetry, stream)
             eigs = WignerSample(h=ht).eigenvalues()
-            gaps = dbm.gap_distribution(eigs, (0.0, 1.0))
+            gaps = dbm.gap_distribution(eigs, dbm.GAP_WINDOW)
             off_mean = float(np.mean(np.abs(ht[iu]) ** 2)) * n
             diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
             return gaps, off_mean, diag_dev

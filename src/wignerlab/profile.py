@@ -1,14 +1,14 @@
 """Variance profiles for generalized Wigner ensembles.
 
-A profile is the N x N matrix of entry variances.  Valid profiles are
-symmetric, doubly stochastic (every column sums to 1) and have all entries
-bounded by c/N.
+A profile is the circulant N x N matrix of entry variances, stored as its
+first column.  Valid profiles are symmetric, doubly stochastic (every column
+sums to 1) and have all entries bounded by c/N.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -16,7 +16,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 SYMMETRY_TOL = 1e-12
 STOCHASTIC_TOL = 1e-12
 SIMPLE_EIG_TOL = 1e-8
-_SYMMETRY_BLOCK = 128  # block edge of the symmetry check; fastest of 64..512 at N = 2048
 
 
 class ProfileError(ValueError):
@@ -25,67 +24,50 @@ class ProfileError(ValueError):
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Immutable matrix of entry variances with assumption metadata.
-
-    ``sigma2`` is read-only and may be a non-contiguous view (the built-in
-    profiles store O(N) numbers); ``np.array(p.sigma2)`` gives a dense copy.
+    """Immutable circulant matrix of entry variances, owning a read-only copy
+    of its first column ``c``.  ``sigma2[i, j] == c[(i - j) % n]`` is a
+    read-only N x N view over 2N numbers; it is symmetric when c[k] == c[-k]
+    and doubly stochastic when sum(c) == 1, so both are checked in O(N).
     """
 
-    sigma2: np.ndarray
+    c: np.ndarray
     kind: str
+    sigma2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = self.sigma2
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ProfileError(f"sigma2 shape {s.shape} is not square")
-        col = s.sum(axis=0)
-        # a NaN or infinite entry makes its column sum NaN or infinite; NaN
-        # would otherwise pass every comparison below
-        if not np.all(np.isfinite(col)):
-            raise ProfileError("non-finite variance entry or column sum")
-        if s.min() < 0:
+        c = np.array(self.c, dtype=float)  # a copy: the caller's array may change
+        if c.ndim != 1 or c.size < 2:
+            raise ProfileError(f"first column shape {c.shape} is not (n,) with n >= 2")
+        # NaN would otherwise pass every comparison below
+        if not np.all(np.isfinite(c)):
+            raise ProfileError("non-finite variance entry")
+        if c.min() < 0:
             raise ProfileError("negative variance entry")
-        if not _symmetric(s, SYMMETRY_TOL):
+        if np.abs(c - np.roll(c[::-1], 1)).max() > SYMMETRY_TOL:
             raise ProfileError("sigma2 not symmetric")
-        bad = np.argmax(np.abs(col - 1.0))
-        if abs(col[bad] - 1.0) > STOCHASTIC_TOL:
-            raise ProfileError(
-                f"column {bad} sums to {col[bad]!r}, not doubly stochastic"
-            )
-        self.sigma2.flags.writeable = False
+        if abs(c.sum() - 1.0) > STOCHASTIC_TOL:
+            raise ProfileError(f"columns sum to {c.sum()!r}, not doubly stochastic")
+        c.flags.writeable = False
+        n = c.size
+        sigma2 = sliding_window_view(np.concatenate([c, c])[::-1], n)[n - 1 :: -1]
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "sigma2", sigma2)
 
     @property
     def n(self) -> int:
-        return self.sigma2.shape[0]
+        return self.c.size
 
     @property
     def c_inf(self) -> float:
-        return float(self.n * self.sigma2.min())
+        return float(self.n * self.c.min())
 
     @property
     def c_sup(self) -> float:
-        return float(self.n * self.sigma2.max())
+        return float(self.n * self.c.max())
 
     def content_hash(self) -> str:
         """SHA-256 of sigma2's bytes, first 16 hex digits."""
         return hashlib.sha256(np.ascontiguousarray(self.sigma2)).hexdigest()[:16]
-
-
-def _symmetric(s: np.ndarray, tol: float) -> bool:
-    """max |s_ij - s_ji| <= tol, compared one block pair at a time so that no
-    N x N temporary is built; |a - b| = |b - a| exactly, so visiting only
-    the blocks on and above the diagonal gives the full-matrix verdict."""
-    n = s.shape[0]
-    b = _SYMMETRY_BLOCK
-    buf = np.empty((min(b, n), min(b, n)))
-    for i in range(0, n, b):
-        for j in range(i, n, b):
-            upper = s[i:i + b, j:j + b]
-            d = buf[:upper.shape[0], :upper.shape[1]]
-            np.subtract(upper, s[j:j + b, i:i + b].T, out=d)
-            if np.abs(d, out=d).max() > tol:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -102,7 +84,7 @@ def flat_profile(n: int) -> VarianceProfile:
     """Uniform profile sigma2_ij = 1/n (the standard Wigner case)."""
     if n < 2:
         raise ProfileError(f"dimension {n} < 2")
-    return VarianceProfile(sigma2=np.broadcast_to(1.0 / n, (n, n)), kind="flat")
+    return VarianceProfile(np.full(n, 1.0 / n), "flat")
 
 
 def band_profile(n: int, w: int, f) -> VarianceProfile:
@@ -115,7 +97,7 @@ def band_profile(n: int, w: int, f) -> VarianceProfile:
     if n < 2:
         raise ProfileError(f"dimension {n} < 2")
     if not 1 <= w <= n // 2:
-        raise ProfileError(f"bandwidth {w} outside [1, {n // 2}]")
+        raise ProfileError(f"band width {w} outside [1, {n // 2}]")
     offsets = symmetric_offsets(n)
     weights = np.array([f(d / w) / w for d in offsets], dtype=float)
     if np.any(weights < 0):
@@ -125,10 +107,8 @@ def band_profile(n: int, w: int, f) -> VarianceProfile:
     if total <= 0:
         raise ProfileError("shape function vanishes on all admissible offsets")
     weights /= total
-    c = np.roll(weights, offsets[0])  # c[k]: the weight at offset [k]_n
-    # circulant view over 2n numbers: sigma2[i, j] = c[(i - j) % n]
-    sigma2 = sliding_window_view(np.concatenate([c, c])[::-1], n)[n - 1 :: -1]
-    return VarianceProfile(sigma2=sigma2, kind="band")
+    # c[k]: the weight at offset [k]_n
+    return VarianceProfile(np.roll(weights, offsets[0]), "band")
 
 
 def symmetric_offsets(n: int) -> np.ndarray:

@@ -176,3 +176,15 @@ def identity_residuals(
     r4 = abs(lhs4 - rhs4) / max(abs(g[gi, gj]), abs(rhs4), 1e-300)
 
     return float(r1), float(r2), float(r3), float(r4)
+
+
+def identity_trial(s: WignerSample, rng: np.random.Generator) -> tuple[float, ...]:
+    """The four identity_residuals and the ward_residual of s at a random z
+    (|E| <= 3, 1e-2 <= eta <= 10), minor t and distinct i, j, k outside t."""
+    n = s.n
+    z = SpectralPoint(float(rng.uniform(-3, 3)), float(10 ** rng.uniform(-2, 1)))
+    tsize = int(rng.integers(0, max(1, n - 4)))
+    t = MinorSpec(frozenset(int(x) for x in rng.choice(n, tsize, replace=False)))
+    rest = [x for x in range(n) if x not in t.t]
+    i, j, k = (int(x) for x in rng.choice(rest, 3, replace=False))
+    return (*identity_residuals(s, z, t, i, j, k), ward_residual(green_at(s, z), z))

@@ -115,8 +115,8 @@ class WignerSample:
     """A realized matrix with a lazily computed eigendecomposition cache."""
 
     h: np.ndarray
-    _eigenvalues: np.ndarray | None = field(default=None, repr=False)
-    _eigenvectors: np.ndarray | None = field(default=None, repr=False)
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False)
+    _eigenvectors: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -21,19 +21,9 @@ from wignerlab.experiments import (
     run_rigidity,
 )
 from wignerlab.profile import flat_profile
-from wignerlab.resolvent import (
-    MinorSpec,
-    green_at,
-    identity_residuals,
-    ward_residual,
-)
+from wignerlab.resolvent import identity_trial
 from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, gaussian, sample_matrix
-from wignerlab.semicircle import (
-    SpectralPoint,
-    classical_locations,
-    m_sc,
-    n_sc,
-)
+from wignerlab.semicircle import classical_locations, m_sc, n_sc
 
 CALIB = load_calibration()
 
@@ -53,16 +43,8 @@ def test_criterion_1_identity_suite():
     for trial in range(200):
         n = int(rng.integers(5, 21))
         sym = SYMMETRIC if trial % 2 else HERMITIAN
-        p = flat_profile(n)
-        s = sample_matrix(p, gaussian(), sym, derive_stream(20240901, trial))
-        z_pt = SpectralPoint(float(rng.uniform(-3, 3)), float(10 ** rng.uniform(-2, 1)))
-        tsize = int(rng.integers(0, n - 4))
-        t = MinorSpec(frozenset(int(x) for x in rng.choice(n, tsize, replace=False)))
-        rest = [x for x in range(n) if x not in t.t]
-        i, j, k = (int(x) for x in rng.choice(rest, 3, replace=False))
-        worst = max(worst, *identity_residuals(s, z_pt, t, i, j, k))
-        g = green_at(s, z_pt)
-        worst = max(worst, ward_residual(g, z_pt))
+        s = sample_matrix(flat_profile(n), gaussian(), sym, derive_stream(20240901, trial))
+        worst = max(worst, *identity_trial(s, rng))
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 30.0
     assert verdict(

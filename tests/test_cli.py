@@ -85,6 +85,8 @@ def test_cli_runs_without_scipy(tmp_path):
 @pytest.mark.parametrize("argv", [
     "check-profile --profile band:w=40 --n 64",
     "check-profile --n 1",
+    "check-profile --n 0",
+    "check-profile --n -1",
     "gamma-table --n 0",
     "identities --n 2",
     "identities --samples 0",

@@ -21,6 +21,7 @@ from wignerlab.experiments import (
     median,
     monte_carlo,
     nearest_rank_quantile,
+    profile_from_spec,
     rigidity_stats,
     run_counting,
     run_dbm_relax,
@@ -99,6 +100,14 @@ def test_config_validation():
         ExperimentConfig(samples_per_n=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(profile="sparse").make_profile(16)
+    # the profile's own ProfileError surfaces as a ConfigError
+    for spec, n in [("band:w=0", 8), ("band:w=1", 1), ("flat", 0)]:
+        with pytest.raises(ConfigError):
+            profile_from_spec(spec, n)
+    # the spec is checked at the smallest size
+    with pytest.raises(ConfigError, match="band width 5 outside"):
+        ExperimentConfig(n_list=[8, 64], profile="band:w=5")
+    assert ExperimentConfig(n_list=[10, 64], profile="band:w=5").make_profile(64).n == 64
 
 
 def test_counting_sup_single_eigenvalue():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from wignerlab.profile import (
-    _SYMMETRY_BLOCK,
     ProfileError,
     VarianceProfile,
     assumption_report,
@@ -73,10 +72,11 @@ def _dense_band(n, w, f):
 def _assert_same_as_dense(p, dense):
     assert p.sigma2.tobytes() == dense.tobytes()
     assert p.sigma2.sum(axis=0).tobytes() == dense.sum(axis=0).tobytes()
-    assert p.content_hash() == VarianceProfile(dense, p.kind).content_hash()
+    assert p.content_hash() == hashlib.sha256(dense.tobytes()).hexdigest()[:16]
+    assert np.array_equal(p.c, dense[:, 0])
 
 
-# odd and even sizes, below and across the symmetry check's block edge
+# odd and even sizes, from the smallest up
 _SIZES = [2, 3, 5, 64, 65, 130, 257]
 _BANDS = [(16, 3), (17, 4), (32, 8)] + sorted(
     {(n, w) for n in _SIZES for w in (1, max(1, n // 8), n // 2)}
@@ -113,6 +113,8 @@ def test_profiles_take_linear_storage(build):
     assert peak < 2**20
     with pytest.raises(ValueError):
         p.sigma2[1, 0] = 1.0
+    with pytest.raises(ValueError):
+        p.c[0] = 1.0
 
 
 def test_band_negative_shape_rejected():
@@ -142,7 +144,8 @@ def test_band_spectrum_matches_circulant_fourier():
 
 
 def test_identity_profile_not_simple():
-    rep = assumption_report(VarianceProfile(np.eye(8), "custom"))
+    # the identity matrix is the circulant whose first column is e_0
+    rep = assumption_report(VarianceProfile(np.eye(8)[:, 0], "custom"))
     assert not rep.eigenvalue_one_simple
 
 
@@ -152,16 +155,50 @@ def test_symmetric_offsets():
 
 
 def test_profile_rejects_non_square_sigma2():
-    for shape in [(3, 4), (4,), (2, 2, 2)]:
-        with pytest.raises(ProfileError):
-            VarianceProfile(sigma2=np.full(shape, 0.25), kind="custom")
-    assert VarianceProfile(sigma2=np.full((4, 4), 0.25), kind="custom").n == 4
+    # only a first column, a vector of n >= 2 numbers, makes a square circulant
+    for c in [np.full((4, 4), 0.25), np.full((2, 2, 2), 0.125), np.ones(1), np.float64(1.0)]:
+        with pytest.raises(ProfileError, match="shape"):
+            VarianceProfile(c, "custom")
+    p = VarianceProfile(np.full(4, 0.25), "custom")
+    assert p.n == 4 and p.sigma2.shape == (4, 4)
 
 
 def test_profile_immutable():
     p = flat_profile(4)
     with pytest.raises(ValueError):
         p.sigma2[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        p.c[0] = 1.0
+
+
+def test_profile_owns_its_column():
+    b = np.full(4, 0.25)
+    p = VarianceProfile(b, "custom")
+    b[1] = 5.0
+    assert np.all(p.c == 0.25)
+    assert np.all(p.sigma2 == 0.25)
+    assert np.all(p.sigma2.sum(axis=0) == 1.0)
+    with pytest.raises(ValueError):
+        p.c[1] = 5.0
+    with pytest.raises(ValueError):
+        p.sigma2[0, 1] = 5.0
+
+
+def test_profile_rejects_negative_entry():
+    with pytest.raises(ProfileError, match="negative"):
+        VarianceProfile(np.array([0.6, -0.05, 0.5, -0.05]), "custom")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_column_sum_tolerance(sign):
+    for off, accepted in [(2e-12, False), (5e-13, True)]:
+        c = np.full(4, 0.25)
+        c[0] += sign * off  # c[0] is its own mirror, so only the sum moves
+        if accepted:
+            VarianceProfile(c, "custom")
+        else:
+            with pytest.raises(ProfileError, match="doubly stochastic"):
+                VarianceProfile(c, "custom")
 
 
 def test_content_hash_is_sha256_of_sigma2():
@@ -173,23 +210,21 @@ def test_content_hash_is_sha256_of_sigma2():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_profile_rejects_non_finite_entry(bad):
-    s = np.full((4, 4), 0.25)
-    s[1, 2] = s[2, 1] = bad
+    c = np.full(4, 0.25)
+    c[1] = c[3] = bad
     with pytest.raises(ProfileError, match="non-finite"):
-        VarianceProfile(sigma2=s, kind="custom")
+        VarianceProfile(c, "custom")
 
 
-@pytest.mark.parametrize("n", [_SYMMETRY_BLOCK + 37, 2 * _SYMMETRY_BLOCK])
-def test_symmetry_check_across_block_boundary(n):
-    # the pair (i, j) sits in an off-diagonal block pair; the first n leaves
-    # a partial last block, which holds j
-    i, j = _SYMMETRY_BLOCK - 1, n - 1
+@pytest.mark.parametrize("n", [165, 256])
+def test_symmetry_tolerance(n):
+    # sigma2[1, 0] = c[1] and sigma2[0, 1] = c[n - 1]; the sum stays 1
     for asym, accepted in [(2e-12, False), (5e-13, True)]:
-        s = np.full((n, n), 1.0 / n)
-        s[i, j] += asym / 2
-        s[j, i] -= asym / 2
+        c = np.full(n, 1.0 / n)
+        c[1] += asym / 2
+        c[n - 1] -= asym / 2
         if accepted:
-            VarianceProfile(sigma2=s, kind="custom")
+            VarianceProfile(c, "custom")
         else:
             with pytest.raises(ProfileError, match="not symmetric"):
-                VarianceProfile(sigma2=s, kind="custom")
+                VarianceProfile(c, "custom")

