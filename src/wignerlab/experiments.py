@@ -512,10 +512,10 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
         def one(i, t=t, ti=ti):
             stream = derive_stream(cfg.master_seed, ti * 10**5 + i)
             ht = dbm.ou_endpoint(h0, t, cfg.symmetry, stream)
-            eigs = WignerSample(h=ht).eigenvalues()
-            gaps = dbm.gap_distribution(eigs, dbm.GAP_WINDOW)
             off_mean = float(np.mean(np.abs(ht[iu]) ** 2)) * n
             diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
+            # the factorization overwrites ht, so it comes last
+            gaps = dbm.gap_distribution(WignerSample(h=ht).eigenvalues(), dbm.GAP_WINDOW)
             return gaps, off_mean, diag_dev
 
         results = _map_indexed(one, cfg.samples_per_n, cfg.threads)

@@ -53,6 +53,14 @@ class VarianceProfile:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "sigma2", sigma2)
 
+    def __eq__(self, other):
+        if not isinstance(other, VarianceProfile):
+            return NotImplemented
+        return (self.kind, self.c.tobytes()) == (other.kind, other.c.tobytes())
+
+    def __hash__(self):
+        return hash((self.kind, self.c.tobytes()))
+
     @property
     def n(self) -> int:
         return self.c.size

@@ -7,9 +7,11 @@ master seed.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,21 +43,25 @@ class EntryDistribution:
         """two_point: the value taken with probability 1 - p."""
         return -math.sqrt(self.p / (1.0 - self.p))
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size=None, out=None) -> np.ndarray:
+        """``size`` independent draws, or as many as fill ``out`` in place."""
+        x = np.empty(size) if out is None else out
         if self.law == "gaussian":
-            x = rng.standard_normal(size)
+            rng.standard_normal(out=x)
         elif self.law == "rademacher":
-            x = rng.integers(0, 2, size=size).astype(float)
-            x *= 2.0
+            np.multiply(rng.integers(0, 2, size=x.shape), 2.0, out=x)
             x -= 1.0
         elif self.law == "uniform":
-            x = (rng.random(size) * 2.0 - 1.0) * math.sqrt(3.0)
+            rng.random(out=x)
+            x *= 2.0
+            x -= 1.0
+            x *= math.sqrt(3.0)
         elif self.law == "two_point":
-            x = np.where(rng.random(size) < self.p, self.a, self.b)
+            x[...] = np.where(rng.random(x.shape) < self.p, self.a, self.b)
         else:
             raise DistributionError(f"unknown law {self.law!r}")
-        # a copy: in place, the allocator kept more memory resident (peak RSS)
-        return x * self.scale
+        x *= self.scale
+        return x
 
     def analytic_moment(self, k: int) -> float:
         """Exact k-th moment of the standardized law (before ``scale``)."""
@@ -110,13 +116,24 @@ def from_name(name: str) -> EntryDistribution:
 BLAS_LOCK = threading.Lock()
 
 
-@dataclass
 class WignerSample:
-    """A realized matrix with a lazily computed eigendecomposition cache."""
+    """A realized matrix h with a lazily computed eigendecomposition cache.
 
-    h: np.ndarray
-    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False)
-    _eigenvectors: np.ndarray | None = field(default=None, init=False, repr=False)
+    ``eigenvalues()`` factorizes h where it lies, so it consumes the sample:
+    h is gone afterwards. Call ``eigen_pair()`` first to keep h; the
+    eigenvalues then come from its cache.
+    """
+
+    def __init__(self, h: np.ndarray):
+        self._h = h
+        self._eigenvalues: np.ndarray | None = None
+        self._eigenvectors: np.ndarray | None = None
+
+    @property
+    def h(self) -> np.ndarray:
+        if self._h is None:
+            raise RuntimeError("sample consumed: eigenvalues() overwrote h; call eigen_pair() first")
+        return self._h
 
     @property
     def n(self) -> int:
@@ -124,8 +141,9 @@ class WignerSample:
 
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
+            h, self._h = self.h, None
             with BLAS_LOCK:
-                w = np.linalg.eigvalsh(self.h)
+                w = eigvalsh_inplace(h)
             self._eigenvalues = _finite(w)
         return self._eigenvalues
 
@@ -140,6 +158,63 @@ class WignerSample:
 def _finite(w: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise FloatingPointError("eigendecomposition produced non-finite values")
+    return w
+
+
+@functools.cache
+def _lapack() -> dict:
+    """numpy's bundled ?syevd/?heevd and the dtypes of their work arrays, by
+    the dtype of h; empty without scipy-openblas. Loaded on first use: dlsym
+    on numpy's linalg extension also searches the libraries it links."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        routines = {  # work and iwork; work, rwork and iwork
+            np.dtype(float): (lib.scipy_dsyevd_64_, (np.float64, np.int64)),
+            np.dtype(complex): (lib.scipy_zheevd_64_, (np.complex128, np.float64, np.int64)),
+        }
+    except (OSError, AttributeError):
+        return {}
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    for fn, work in routines.values():
+        # jobz, uplo, n, a, lda, w, (array, length) per work array, info and
+        # the hidden lengths of jobz and uplo
+        fn.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr] + [ptr, i64] * len(work) + [
+            i64, ctypes.c_size_t, ctypes.c_size_t]
+        fn.restype = None
+    return routines
+
+
+def eigvalsh_inplace(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrix h with the bits of
+    numpy's ``eigvalsh``, overwriting h.
+
+    LAPACK (jobz 'N', uplo 'L', 64-bit integers) reads the C-ordered h as
+    H^T = conj(H) and reduces it where it lies, without the Fortran-ordered
+    copy numpy makes. Without numpy's bundled LAPACK, or for an h it cannot
+    take in place, numpy's ``eigvalsh`` does the work.
+    """
+    fn, work = _lapack().get(h.dtype, (None, ()))
+    if fn is None or h.ndim != 2 or h.shape[0] != h.shape[1] or not (
+        h.flags.c_contiguous and h.flags.writeable
+    ):
+        return np.linalg.eigvalsh(h)
+    n, w, info = h.shape[0], np.empty(h.shape[0]), ctypes.c_int64()
+
+    def call(arrays, sizes) -> None:
+        sized = [a for arr, size in zip(arrays, sizes)
+                 for a in (arr.ctypes.data, ctypes.byref(ctypes.c_int64(size)))]
+        fn(b"N", b"L", ctypes.byref(ctypes.c_int64(n)), h.ctypes.data,
+           ctypes.byref(ctypes.c_int64(max(1, n))), w.ctypes.data, *sized, ctypes.byref(info), 1, 1)
+
+    # query the workspace, then allocate it, as numpy does
+    query = [np.zeros(1, k) for k in work]
+    call(query, [-1] * len(work))
+    sizes = [int(q[0].real) for q in query]
+    call([np.empty(size, k) for size, k in zip(sizes, work)], sizes)
+    if info.value:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACK info {info.value})")
     return w
 
 
@@ -163,8 +238,11 @@ def sample_matrix(
     n = p.n
     m = n * (n - 1) // 2
     if symmetry == SYMMETRIC:
-        upper = d.draw(stream, m)
+        # the draws fill the last m slots of h itself; row i's draws start at
+        # least n slots past the end of its target h[i, i+1:], so no row
+        # overwrites draws a later row still reads
         h = np.empty((n, n))
+        upper = d.draw(stream, out=h.reshape(-1)[n * n - m :])
     elif symmetry == HERMITIAN:
         # independent real/imaginary parts, each of variance sigma2/2, in one
         # buffer: the bits of (re + 1j * im) / sqrt(2) for every draw but -0.0
@@ -175,13 +253,16 @@ def sample_matrix(
         h = np.empty((n, n), dtype=complex)
     else:
         raise ValueError(f"unknown symmetry class {symmetry!r}")
+    root = np.sqrt(p.c)
+    # sqrt(sigma2[i, i+1:]) is root[n-1], root[n-2], ..., root[i+1]
+    reverse = root[::-1]
     o = 0
     for i in range(n - 1):
         k = n - 1 - i
-        np.multiply(upper[o : o + k], np.sqrt(p.sigma2[i, i + 1 :]), out=h[i, i + 1 :])
+        np.multiply(upper[o : o + k], reverse[:k], out=h[i, i + 1 :])
         o += k
     _mirror_upper(h)
-    np.fill_diagonal(h, d.draw(stream, n) * np.sqrt(np.diagonal(p.sigma2)))
+    np.fill_diagonal(h, d.draw(stream, n) * root[0])
     return WignerSample(h=h)
 
 

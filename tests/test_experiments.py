@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from wignerlab import sampler
 from wignerlab.experiments import (
     READS,
     RUNNERS,
@@ -249,6 +250,7 @@ def test_blas_calls_run_one_at_a_time(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    monkeypatch.setattr(sampler, "eigvalsh_inplace", counted(sampler.eigvalsh_inplace))
     monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
     monkeypatch.setattr(np, "matmul", counted(np.matmul))
     runs = [

@@ -184,6 +184,15 @@ def test_profile_owns_its_column():
         p.sigma2[0, 1] = 5.0
 
 
+def test_profiles_compare_and_hash_by_value():
+    assert flat_profile(4) == flat_profile(4)
+    assert hash(flat_profile(4)) == hash(flat_profile(4))
+    assert len({flat_profile(4), flat_profile(4), flat_profile(6)}) == 2
+    assert flat_profile(4) != VarianceProfile(np.full(4, 0.25), "custom")
+    assert band_profile(8, 2, indicator_half) != flat_profile(8)
+    assert flat_profile(4) != "flat"
+
+
 def test_profile_rejects_negative_entry():
     with pytest.raises(ProfileError, match="negative"):
         VarianceProfile(np.array([0.6, -0.05, 0.5, -0.05]), "custom")

@@ -19,6 +19,7 @@ from wignerlab.resolvent import (
 from wignerlab.sampler import (
     HERMITIAN,
     SYMMETRIC,
+    WignerSample,
     derive_stream,
     gaussian,
     sample_matrix,
@@ -37,16 +38,7 @@ def make_sample(n, sym=SYMMETRIC, seed=0, index=0):
 
 
 def zero_sample(n):
-    s = make_sample(n)
-    s.h = np.zeros((n, n))
-    return s
-
-
-def set_matrix(s, h):
-    s.h = h
-    s._eigenvalues = None
-    s._eigenvectors = None
-    return s
+    return WignerSample(np.zeros((n, n)))
 
 
 Z_I = SpectralPoint(0.0, 1.0)
@@ -61,13 +53,13 @@ def test_eigen_pair_reconstruction():
 
 
 def test_eigen_pair_1x1():
-    s = set_matrix(make_sample(2), np.zeros((1, 1)))
+    s = WignerSample(np.zeros((1, 1)))
     w, _ = s.eigen_pair()
     assert list(w) == [0.0]
 
 
 def test_green_trivial_1x1():
-    s = set_matrix(make_sample(2), np.zeros((1, 1)))
+    s = WignerSample(np.zeros((1, 1)))
     g = green_at(s, Z_I)
     assert g[0, 0] == pytest.approx(1j, abs=1e-15)
     m_n = np.mean(1.0 / (s.eigenvalues() - Z_I.z))
@@ -89,7 +81,7 @@ def test_green_returns_array():
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 130, 512])
 def test_green_symmetric_matches_complex_formula(n):
     if n == 1:
-        s = set_matrix(make_sample(2), np.array([[0.3]]))
+        s = WignerSample(np.array([[0.3]]))
     else:
         s = make_sample(n, seed=11)
     w, u = s.eigen_pair()
@@ -161,10 +153,9 @@ def test_green_at_returns_fresh_array():
 def test_nonfinite_spectrum_raises_on_every_path():
     # a NaN entry: LAPACK either fails to converge or returns NaN eigenvalues,
     # and neither may come back as an all-NaN resolvent
-    s = make_sample(130, seed=5)
-    h = s.h.copy()
+    h = make_sample(130, seed=5).h
     h[129, 129] = np.nan
-    set_matrix(s, h)
+    s = WignerSample(h)
     z = SpectralPoint(0.0, 1.0)
     for resolve in (lambda: green_at(s, z), lambda: minor_green(s, minor(0), z),
                     lambda: control_sweep(s, [z])):
@@ -204,7 +195,7 @@ def test_control_params_zero_matrix():
 
 
 def test_control_params_diagonal_offdiag_zero():
-    s = set_matrix(make_sample(5), np.diag([0.1, -0.4, 0.9, 0.0, 1.3]))
+    s = WignerSample(np.diag([0.1, -0.4, 0.9, 0.0, 1.3]))
     g = green_at(s, SpectralPoint(0.5, 0.3))
     snap = control_params(g, SpectralPoint(0.5, 0.3))
     assert snap.lambda_o <= 1e-15
@@ -259,9 +250,8 @@ def test_k_quantity_inverse_identity():
 
 
 def test_k_quantity_2x2_by_hand():
-    s = make_sample(2)
     c = 0.37
-    set_matrix(s, np.array([[0.2, c], [c, -0.5]]))
+    s = WignerSample(np.array([[0.2, c], [c, -0.5]]))
     z = SpectralPoint(0.1, 0.6)
     _, zq = k_quantity(s, EMPTY, 0, 0, z)
     assert zq == pytest.approx(c**2 / (-0.5 - z.z), abs=1e-12)
@@ -307,13 +297,8 @@ def test_identity_residuals_random_suite():
     rng = np.random.default_rng(8)
     for trial in range(20):
         n = int(rng.integers(5, 21))
-        sym = SYMMETRIC if trial % 2 else HERMITIAN
-        s = make_sample(n, sym=sym, seed=9, index=trial)
-        z = SpectralPoint(float(rng.uniform(-2, 2)), float(10 ** rng.uniform(-2, 1)))
-        t = MinorSpec(frozenset(int(x) for x in rng.choice(n, int(rng.integers(0, n - 4)), replace=False)))
-        rest = [x for x in range(n) if x not in t.t]
-        i, j, k = (int(x) for x in rng.choice(rest, 3, replace=False))
-        assert max(identity_residuals(s, z, t, i, j, k)) <= 1e-9
+        s = make_sample(n, sym=SYMMETRIC if trial % 2 else HERMITIAN, seed=9, index=trial)
+        assert max(identity_trial(s, rng)) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [3, 12])
@@ -327,7 +312,7 @@ def test_identity_trial(n):
 
 
 def test_identity_residuals_diagonal_matrix():
-    s = set_matrix(make_sample(5), np.diag([0.5, -0.1, 0.2, 0.9, -0.7]))
+    s = WignerSample(np.diag([0.5, -0.1, 0.2, 0.9, -0.7]))
     res = identity_residuals(s, SpectralPoint(0.0, 0.3), EMPTY, 0, 2, 4)
     assert res[2] == 0.0 and res[3] == 0.0
 
@@ -355,6 +340,6 @@ def test_ward_identity():
 
 
 def test_ward_identity_1x1():
-    s = set_matrix(make_sample(2), np.zeros((1, 1)))
+    s = WignerSample(np.zeros((1, 1)))
     g = green_at(s, Z_I)
     assert ward_residual(g, Z_I) <= 1e-15

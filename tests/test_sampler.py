@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wignerlab import sampler
 from wignerlab.profile import VarianceProfile, band_profile, flat_profile
 from wignerlab.sampler import (
     HERMITIAN,
@@ -115,10 +117,15 @@ def test_two_point_bad_p():
 def test_lazy_eigendecomposition():
     s = sample_indexed(flat_profile(16), gaussian(), SYMMETRIC, 1, 0)
     assert s._eigenvalues is None
-    w = s.eigenvalues()
+    w, u = s.eigen_pair()
+    assert np.allclose((u * w) @ u.conj().T, s.h, atol=1e-10)
+    assert s.eigenvalues() is w  # the cache: h is kept
     assert np.all(np.diff(w) >= 0)
-    w2, u = s.eigen_pair()
-    assert np.allclose((u * w2) @ u.conj().T, s.h, atol=1e-10)
+    assert s.h.shape == (16, 16)
+    t = sample_indexed(flat_profile(16), gaussian(), SYMMETRIC, 1, 0)
+    assert np.all(np.diff(t.eigenvalues()) >= 0)
+    with pytest.raises(RuntimeError, match="consumed"):
+        t.eigen_pair()
 
 
 def _reference_draw(d, rng, size):
@@ -174,6 +181,8 @@ def _band(n):
     return band_profile(n, max(1, n // 8), lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
 
 
+_LAWS = [gaussian(), rademacher(), uniform(), two_point(0.3)]
+
 _PROFILES = {
     "flat": flat_profile,
     "band": _band,
@@ -187,7 +196,7 @@ _PROFILES = {
 @pytest.mark.parametrize("kind", sorted(_PROFILES))
 def test_sample_matrix_matches_full_matrix_formulation(kind, symmetry, n):
     p = _PROFILES[kind](n)
-    for k, law in enumerate([gaussian(), rademacher(), uniform(), two_point(0.3)]):
+    for k, law in enumerate(_LAWS):
         got = sample_matrix(p, law, symmetry, derive_stream(n, k)).h
         want = _reference_matrix(p, law, symmetry, derive_stream(n, k))
         assert got.dtype == want.dtype
@@ -210,3 +219,73 @@ def test_sample_takes_only_the_matrix():
     # the eigendecomposition cache is filled by the sample, never passed in
     with pytest.raises(TypeError):
         WignerSample(np.eye(2), np.ones(2))
+
+
+def _eigvalsh_cases(n):
+    """(sample, np.linalg.eigvalsh of its h) for both classes, flat and band
+    profiles and all four laws."""
+    for symmetry in (SYMMETRIC, HERMITIAN):
+        for kind in ("flat", "band"):
+            p = _PROFILES[kind](n)
+            for k, law in enumerate(_LAWS):
+                s = sample_matrix(p, law, symmetry, derive_stream(n, k))
+                yield s, np.linalg.eigvalsh(s.h)
+
+
+# one and two BLAS threads give different bits from N = 192/224 on
+@pytest.mark.parametrize("n", [2, 3, 130, 193, 256, 512])
+def test_eigenvalues_in_place_match_eigvalsh_bytes(n):
+    for s, want in _eigvalsh_cases(n):
+        assert s.eigenvalues().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lib", [None, object()], ids=["no-library", "no-symbol"])
+def test_eigenvalues_fallback_matches_bytes(monkeypatch, lib):
+    def cdll(name):
+        if lib is None:
+            raise OSError(f"{name}: cannot open shared object file")
+        return lib
+
+    monkeypatch.setattr(sampler.ctypes, "CDLL", cdll)
+    sampler._lapack.cache_clear()
+    try:
+        assert sampler._lapack() == {}
+        for s, want in _eigvalsh_cases(130):
+            assert s.eigenvalues().tobytes() == want.tobytes()
+            with pytest.raises(RuntimeError, match="consumed"):
+                s.eigen_pair()
+    finally:
+        sampler._lapack.cache_clear()
+
+
+def test_eigenvalues_of_a_strided_matrix_leave_it_untouched():
+    h = sample_matrix(flat_profile(40), gaussian(), SYMMETRIC, derive_stream(4, 0)).h
+    for view in (np.asfortranarray(h), h[::-1, ::-1]):
+        before = view.tobytes()
+        assert WignerSample(view).eigenvalues().tobytes() == np.linalg.eigvalsh(view).tobytes()
+        assert view.tobytes() == before
+
+
+def test_consumed_sample_raises():
+    s = sample_matrix(flat_profile(8), gaussian(), HERMITIAN, derive_stream(5, 0))
+    w = s.eigenvalues()
+    assert s.eigenvalues() is w
+    for read in (lambda: s.h, lambda: s.n, s.eigen_pair):
+        with pytest.raises(RuntimeError, match="consumed"):
+            read()
+
+
+@pytest.mark.parametrize("law", [gaussian(), uniform()])
+def test_symmetric_sample_allocates_one_matrix(law):
+    # draws go straight into h: one 8 MiB buffer at N = 1024, not the
+    # packed draws and their scaled copy besides
+    n = 1024
+    p = flat_profile(n)
+    sample_matrix(flat_profile(8), law, SYMMETRIC, derive_stream(0, 0))  # warm-up imports
+    tracemalloc.start()
+    try:
+        sample_matrix(p, law, SYMMETRIC, derive_stream(0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n + 2**20
