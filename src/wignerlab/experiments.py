@@ -41,16 +41,14 @@ class ExperimentConfig:
     master_seed: int = 1
     e_values: list[float] = field(default_factory=lambda: [0.0])
     eta_count: int = 12
-    eta_min_exponent: float = -0.9  # eta sweep starts at N**this
-    extreme_c: float | None = None
     allow_moment_mismatch: bool = False  # negative controls only
-    t_list: list[float] | None = None
     reference_samples: int = 100
     threads: int = 1
 
     def __post_init__(self):
-        if not self.n_list or self.n_list[0] < 2 or not _increasing(self.n_list):
-            raise ConfigError(f"n_list {self.n_list} must be strictly increasing, sizes >= 2")
+        ns = self.n_list
+        if not ns or ns[0] < 2 or any(a >= b for a, b in zip(ns, ns[1:])):
+            raise ConfigError(f"n_list {ns} must be strictly increasing, sizes >= 2")
         if self.samples_per_n < 1:
             raise ConfigError("samples_per_n must be >= 1")
         if self.master_seed < 0:
@@ -70,19 +68,6 @@ class ExperimentConfig:
             raise ConfigError(f"e_values {e} must be one or more distinct energies with |E| <= 5")
         if self.eta_count < 3:
             raise ConfigError(f"eta_count {self.eta_count} < 3, too few points for a slope fit")
-        # the eta sweep runs from N**eta_min_exponent up to 1; its start lies
-        # above 1/N exactly when the exponent exceeds -1
-        if not -1.0 < self.eta_min_exponent < 0.0:
-            raise ConfigError(f"eta_min_exponent {self.eta_min_exponent} outside (-1, 0)")
-        if self.extreme_c is not None and not math.isfinite(self.extreme_c):
-            raise ConfigError(f"extreme_c {self.extreme_c} must be finite")
-        # dbm-relax compares the first time and the last but one with the last
-        if self.t_list is not None and (
-            len(self.t_list) < 3 or self.t_list[0] < 0 or not _increasing(self.t_list)
-        ):
-            raise ConfigError(
-                f"t_list {self.t_list} needs >= 3 strictly increasing nonnegative times"
-            )
         if self.reference_samples < 1:
             raise ConfigError("reference_samples must be >= 1")
         if self.threads < 1:
@@ -90,10 +75,6 @@ class ExperimentConfig:
 
     def make_profile(self, n: int) -> VarianceProfile:
         return profile_from_spec(self.profile, n)
-
-
-def _increasing(xs: list) -> bool:
-    return all(a < b for a, b in zip(xs, xs[1:]))
 
 
 def profile_from_spec(spec: str, n: int) -> VarianceProfile:
@@ -245,6 +226,8 @@ def slope_fit(xs, ys) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # local semicircle law
 
+ETA_MIN_EXPONENT = -0.9  # the eta sweep runs from N**this, above 1/N, up to 1
+
 
 def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
     """Deviation of the empirical Stieltjes transform and of the off-diagonal
@@ -257,7 +240,7 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     rows, fits, checks = [], {}, []
     for n in cfg.n_list:
-        etas = np.geomspace(n**cfg.eta_min_exponent, 1.0, cfg.eta_count)
+        etas = np.geomspace(n**ETA_MIN_EXPONENT, 1.0, cfg.eta_count)
         pts = [SpectralPoint(float(e), float(eta)) for e in cfg.e_values for eta in etas]
         denoms = [
             math.sqrt(m_sc(z).imag / (n * z.eta)) + 1.0 / (n * z.eta) for z in pts
@@ -455,7 +438,7 @@ def run_edge(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_extreme_bound(cfg: ExperimentConfig) -> ExperimentReport:
     calib = load_calibration()
-    c = cfg.extreme_c if cfg.extreme_c is not None else calib["extreme_c"]
+    c = calib["extreme_c"]
     columns = ["n", "samples", "threshold", "exceedance_fraction"]
     rows, checks = [], []
     for n in cfg.n_list:
@@ -486,14 +469,15 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     if len(cfg.n_list) > 1:
         raise ConfigError(f"dbm-relax runs at one size, not n_list {cfg.n_list}")
     n = cfg.n_list[0]
-    t_list = cfg.t_list if cfg.t_list is not None else [0.0, 0.5 / n, 2.0 / n, 8.0 / n, 4.0]
+    # the start, three times on the N^-1 scale and equilibrium: relax_start_far
+    # compares the first with the last, relax_fast the last but one
+    t_list = [0.0, 0.5 / n, 2.0 / n, 8.0 / n, 4.0]
     gamma = classical_locations(n)
-    if cfg.samples_per_n > 10**5 or (len(t_list) > 10 and cfg.samples_per_n > 1):
-        # sample i's stream ti*10**5 + i: i >= 10**5 reaches the next flow
-        # time's, and ti = 10, i = 1 is the reference's 10**6 + 1
+    if cfg.samples_per_n > 10**5:
+        # sample i's stream ti*10**5 + i would reach the next flow time's; with
+        # five flow times it stays below the reference's 10**6 + 1
         raise ConfigError(
-            f"dbm-relax streams collide at samples_per_n = {cfg.samples_per_n} with {len(t_list)} "
-            "flow times: need samples_per_n <= 10**5, and 1 past 10 flow times"
+            f"dbm-relax streams collide at samples_per_n = {cfg.samples_per_n}: need <= 10**5"
         )
     try:  # the gap window must hold enough eigenvalues; gamma shows it undrawn
         dbm.gap_distribution(gamma, dbm.GAP_WINDOW)
@@ -564,12 +548,12 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
 _ENSEMBLE = {"n_list", "samples_per_n", "profile", "distribution", "symmetry", "master_seed",
              "threads"}
 READS = {
-    "lsc": _ENSEMBLE | {"e_values", "eta_count", "eta_min_exponent"},
+    "lsc": _ENSEMBLE | {"e_values", "eta_count"},
     "rigidity": _ENSEMBLE,
     "counting": _ENSEMBLE,
     "edge": _ENSEMBLE | {"distribution_b", "allow_moment_mismatch"},
-    "extreme": _ENSEMBLE | {"extreme_c"},
-    "dbm-relax": _ENSEMBLE - {"profile", "distribution"} | {"t_list", "reference_samples"},
+    "extreme": _ENSEMBLE,
+    "dbm-relax": _ENSEMBLE - {"profile", "distribution"} | {"reference_samples"},
 }
 
 RUNNERS = {

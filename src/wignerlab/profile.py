@@ -129,9 +129,9 @@ def assumption_report(p: VarianceProfile) -> AssumptionReport:
 
     delta_plus/minus locate Spec(B) \\ {1} inside [-1+delta_-, 1-delta_+];
     eigenvalue 1 counts as simple when exactly one eigenvalue lies within
-    1e-8 of 1.
+    1e-8 of 1. A symmetric circulant's spectrum is the DFT of its first column.
     """
-    spec = np.linalg.eigvalsh(p.sigma2)
+    spec = np.sort(np.fft.fft(p.c).real)
     col = p.sigma2.sum(axis=0)
     row_sum_residual = float(np.max(np.abs(col - 1.0)))
     near_one = np.abs(spec - 1.0) <= SIMPLE_EIG_TOL

@@ -25,6 +25,15 @@ class DistributionError(ValueError):
     pass
 
 
+# rademacher and two_point draw through a temporary (integers() has no out=),
+# so they fill their output this many leading entries at a time
+DRAW_CHUNK = 1 << 16
+
+
+def _chunks(x: np.ndarray):
+    return (x[lo : lo + DRAW_CHUNK] for lo in range(0, len(x), DRAW_CHUNK))
+
+
 @dataclass(frozen=True)
 class EntryDistribution:
     """Standardized (mean 0, variance 1) entry law with sub-exponential tails."""
@@ -49,7 +58,8 @@ class EntryDistribution:
         if self.law == "gaussian":
             rng.standard_normal(out=x)
         elif self.law == "rademacher":
-            np.multiply(rng.integers(0, 2, size=x.shape), 2.0, out=x)
+            for part in _chunks(x):
+                np.multiply(rng.integers(0, 2, size=part.shape), 2.0, out=part)
             x -= 1.0
         elif self.law == "uniform":
             rng.random(out=x)
@@ -57,7 +67,8 @@ class EntryDistribution:
             x -= 1.0
             x *= math.sqrt(3.0)
         elif self.law == "two_point":
-            x[...] = np.where(rng.random(x.shape) < self.p, self.a, self.b)
+            for part in _chunks(x):
+                part[...] = np.where(rng.random(part.shape) < self.p, self.a, self.b)
         else:
             raise DistributionError(f"unknown law {self.law!r}")
         x *= self.scale

@@ -195,10 +195,10 @@ def test_criterion_8_dbm_relaxation():
     n = 512
     cfg = ExperimentConfig(
         n_list=[n], samples_per_n=100, reference_samples=100, master_seed=20240901,
-        t_list=[0.0, 0.5 / n, 2.0 / n, 8.0 / n, 4.0],
     )
     rep = run_dbm_relax(cfg)
-    ks = {t: rep.fits[f"ks_t{t}"] for t in cfg.t_list}
+    # the runner's flow times 0, 0.5/N, 2/N, 8/N and 4, from its t column
+    ks = {t: rep.fits[f"ks_t{t}"] for t, *_ in rep.rows}
     far_ok = ks[0.0] >= 5.0 * ks[4.0]
     fast_ok = ks[8.0 / n] <= 2.0 * ks[4.0]
     var_ok = all(

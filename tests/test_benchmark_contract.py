@@ -1,7 +1,8 @@
-"""The names the benchmark's tracer binds must exist in the library.
+"""The names the benchmark binds must exist in the library.
 
 `perfbench/tracer.py` wraps library functions by name at run time, and its
-`install()` raises when one is gone. These checks catch a rename or a
+`install()` raises when one is gone; `perfbench/run.py` writes config files
+whose keys the runners must read. These checks catch a rename or a
 dead-code deletion here, without running the benchmark.
 """
 
@@ -9,6 +10,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
 from wignerlab import experiments
@@ -16,11 +18,20 @@ from wignerlab import experiments
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
+    # dataclasses look their module up by name; run.py puts perfbench/ on the path
+    sys.modules[spec.name], path = mod, sys.path[:]
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        sys.path[:] = path
     return mod
+
+
+def _tracer():
+    return _load("tracer")
 
 
 def test_tracer_extra_names_exist():
@@ -36,6 +47,15 @@ def test_tracer_wraps_map_and_runners():
     assert experiments.RUNNERS
     for name, fn in experiments.RUNNERS.items():
         assert inspect.isfunction(fn) and fn.__module__ == "wignerlab.experiments", name
+
+
+def test_workload_config_keys_are_read():
+    """A key the runner does not read makes every benchmark process exit 64."""
+    run = _load("run")
+    for name, wl in run.WORKLOADS.items():
+        for part in (wl.config, wl.smoke):
+            unread = set(part) - experiments.READS[wl.command]
+            assert not unread, (name, sorted(unread))
 
 
 def test_per_layer_metrics_name_existing_spans():

@@ -180,13 +180,6 @@ BAD_CONFIGS = [
     ("counting", "profile = band:w=wide"),
     ("counting", "profile = band:w=0"),
     ("counting", "profile = band:w=17"),
-    ("dbm-relax", "t_list = 0.5"),
-    ("dbm-relax", "t_list = -1.0,4.0"),
-    # at N = 256 these would run: a bad t_list must be caught before any draw
-    ("dbm-relax", "n_list = 256\nt_list = 0.0,4.0"),  # relax_fast compares 4.0 with itself
-    ("dbm-relax", "n_list = 256\nt_list = 0.0,4.0,4.0"),
-    ("dbm-relax", "n_list = 256\nt_list = 4.0,0.0,1.0"),  # start and equilibrium mislabeled
-    ("dbm-relax", "n_list = 256\nt_list = -1.0,0.5,4.0"),
     ("counting", "threads = 0"),
     ("counting", "n_list = 1"),
     ("rigidity", "n_list = 64,64,64"),  # a slope fit over one distinct size
@@ -196,27 +189,34 @@ BAD_CONFIGS = [
     ("edge", "allow_moment_mismatch = maybe"),
     ("counting", "distribution = gaussian:scale=nan"),  # LinAlgError mid-run
     ("edge", "distribution_b = gaussian:scale=nan"),  # abs(nan - 1) > 1e-12 is False
-    ("extreme", "extreme_c = nan"),  # x >= nan is False: a vacuous pass
-    ("extreme", "extreme_c = inf"),
     ("lsc", "eta_count = 2"),
     ("lsc", "e_values ="),
     ("lsc", "e_values = 0.0,0.0"),  # every row twice
     ("lsc", "e_values = nan"),
     ("lsc", "e_values = 6.0"),  # outside |E| <= 5
-    ("lsc", "eta_min_exponent = 0"),
-    ("lsc", "eta_min_exponent = -1.0"),  # eta_min = 1/N
     ("dbm-relax", "n_list = 256\nreference_samples = 0"),
     ("counting", "master_seed = -1"),
     ("dbm-relax", "n_list = 64"),  # too few eigenvalues in the gap window
-    # streams ti*10**5 + i collide: across flow times, and at ti = 10, i = 1
-    # with the equilibrium reference's 10**6 + 1
+    # streams ti*10**5 + i collide across flow times
     ("dbm-relax", "n_list = 256\nsamples_per_n = 100001"),
-    ("dbm-relax", "n_list = 256\nt_list = 0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,4.0"),
     ("counting", "distribution = gaussian:scale=0"),  # an all-zero matrix passes extreme
     ("counting", "distribution = gaussian:scale=-1"),
     # a field the runner does not read would be recorded but change nothing
     ("rigidity", "extreme_c = 3"),
     ("rigidity", "t_list = 0,1,2"),
+    # flow times, the eta sweep's start and the extreme constant are fixed:
+    # a config file that still sets one is rejected, whatever the value
+    ("dbm-relax", "t_list = 0.5"),
+    ("dbm-relax", "t_list = -1.0,4.0"),
+    ("dbm-relax", "n_list = 256\nt_list = 0.0,4.0"),
+    ("dbm-relax", "n_list = 256\nt_list = 0.0,4.0,4.0"),
+    ("dbm-relax", "n_list = 256\nt_list = 4.0,0.0,1.0"),
+    ("dbm-relax", "n_list = 256\nt_list = -1.0,0.5,4.0"),
+    ("dbm-relax", "n_list = 256\nt_list = 0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,4.0"),
+    ("extreme", "extreme_c = nan"),
+    ("extreme", "extreme_c = inf"),
+    ("lsc", "eta_min_exponent = 0"),
+    ("lsc", "eta_min_exponent = -1.0"),
     ("rigidity", "distribution_b = rademacher"),
     ("rigidity", "eta_count = 5"),
     ("dbm-relax", "n_list = 130\nprofile = band:w=8"),  # the flow is always flat Gaussian
@@ -241,6 +241,20 @@ def test_bad_config_fails_when_built(tmp_path, capsys, command, lines):
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg_file), "--out", str(out), "--quiet"]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("dbm-relax", "t_list = 0,1,2"),
+    ("lsc", "eta_min_exponent = -0.9"),
+    ("extreme", "extreme_c = 10"),
+])
+def test_fixed_constant_is_not_a_config_key(tmp_path, capsys, command, line):
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text(f"{line}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_file), "--out", str(out), "--quiet"]) == EXIT_USAGE
+    assert "does not read config key" in capsys.readouterr().err
     assert not out.exists()
 
 

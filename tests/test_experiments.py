@@ -146,11 +146,6 @@ def test_calibration_loads():
     assert calib["lsc_slope_band"] == [-1.2, -0.8]
 
 
-def test_lsc_grid_outside_window_rejected():
-    with pytest.raises(ConfigError):
-        run_lsc(ExperimentConfig(n_list=[64], samples_per_n=2, eta_min_exponent=-2.0))
-
-
 def test_edge_requires_two_distributions():
     with pytest.raises(ConfigError):
         run_edge(ExperimentConfig(n_list=[32], samples_per_n=2))
@@ -185,17 +180,13 @@ def test_edge_rejects_one_percent_rescaled_law():
     assert len(run_edge(cfg).rows) == 4
 
 
-def test_extreme_monotone_in_c():
-    base = dict(n_list=[64], samples_per_n=50)
-    fracs = []
-    for c in (0.0, 2.0, 10.0):
-        rep = run_extreme_bound(ExperimentConfig(**base, extreme_c=c))
-        fracs.append(rep.rows[0][3])
-    assert fracs[0] >= fracs[1] >= fracs[2]
-    # at c=0 the threshold sits at the edge itself, so positive edge
-    # fluctuations exceed it with noticeable frequency
-    assert fracs[0] > 0.02
-    assert fracs[2] == 0.0
+@pytest.mark.parametrize("law, frac", [("gaussian", 0.0), ("gaussian:scale=4", 1.0)])
+def test_extreme_flags_a_rescaled_law(law, frac):
+    # at N = 64 the threshold is 2 + c N^-2/3 (log N)^1.5 = 7.30 (c = 10); a
+    # law four times too wide puts every spectrum edge near 8
+    rep = run_extreme_bound(ExperimentConfig(n_list=[64], samples_per_n=20, distribution=law))
+    assert rep.rows[0][3] == frac
+    assert rep.passed == (frac == 0.0)
 
 
 def test_report_determinism_across_threads(tmp_path):
@@ -313,8 +304,7 @@ def test_reads_keyed_like_runners():
 OTHER_VALUE = dict(
     n_list=[3], samples_per_n=3, profile="band:w=1", distribution="rademacher",
     distribution_b="uniform", symmetry=HERMITIAN, master_seed=2, e_values=[1.0],
-    eta_count=5, eta_min_exponent=-0.5, extreme_c=3.0, allow_moment_mismatch=True,
-    t_list=[0.0, 1.0, 2.0], reference_samples=2, threads=2,
+    eta_count=5, allow_moment_mismatch=True, reference_samples=2, threads=2,
 )
 
 

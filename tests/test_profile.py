@@ -130,17 +130,31 @@ def test_band_bandwidth_range():
 
 
 def test_band_spectrum_matches_circulant_fourier():
-    # For a circulant profile Spec(B) is the DFT of the offset weights.
+    # the report reads Spec(B) off the DFT of the first column; the dense
+    # eigensolve of sigma2 is the oracle
     n, w = 64, 16
     p = band_profile(n, w, indicator_half)
-    weights = p.sigma2[0]
-    fourier = np.sort(np.fft.fft(weights).real)
+    dense = np.linalg.eigvalsh(np.array(p.sigma2))
     rep = assumption_report(p)
     assert rep.eigenvalue_one_simple
-    assert rep.delta_plus == pytest.approx(1.0 - fourier[-2], abs=1e-8)
-    assert rep.delta_minus == pytest.approx(fourier[0] + 1.0, abs=1e-8)
+    assert rep.delta_plus == pytest.approx(1.0 - dense[-2], abs=1e-12)
+    assert rep.delta_minus == pytest.approx(dense[0] + 1.0, abs=1e-12)
     # upper spectral gap of order (w/n)^2
     assert 0 < rep.delta_plus < 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: flat_profile(16),
+    lambda: flat_profile(33),
+    lambda: band_profile(65, 7, indicator_half),  # odd N: no Nyquist frequency
+], ids=["flat16", "flat33", "band65w7"])
+def test_spectrum_matches_dense_eigvalsh(make):
+    p = make()
+    dense = np.linalg.eigvalsh(np.array(p.sigma2))
+    rep = assumption_report(p)
+    assert rep.eigenvalue_one_simple
+    assert rep.delta_plus == pytest.approx(1.0 - dense[-2], abs=1e-12)
+    assert rep.delta_minus == pytest.approx(dense[0] + 1.0, abs=1e-12)
 
 
 def test_identity_profile_not_simple():

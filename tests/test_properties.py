@@ -35,23 +35,17 @@ DISTRIBUTIONS = ["gaussian", "rademacher", "uniform", "two_point:0.25", "gaussia
 @st.composite
 def configs(draw):
     n_list = sorted(draw(st.lists(st.integers(2, 4096), min_size=1, max_size=4, unique=True)))
-    maybe = lambda s: st.none() | s
-    # dbm-relax needs >= 3 strictly increasing flow times
-    times = st.lists(st.floats(0.0, 10.0), min_size=3, max_size=5, unique=True).map(sorted)
     return ExperimentConfig(
         n_list=n_list,
         samples_per_n=draw(st.integers(1, 1000)),
         profile=draw(st.just("flat") | st.integers(1, n_list[0] // 2).map("band:w={}".format)),
         distribution=draw(st.sampled_from(DISTRIBUTIONS)),
-        distribution_b=draw(maybe(st.sampled_from(DISTRIBUTIONS))),
+        distribution_b=draw(st.none() | st.sampled_from(DISTRIBUTIONS)),
         symmetry=draw(st.sampled_from(["symmetric", "hermitian"])),
         master_seed=draw(st.integers(0, 2**32)),
         e_values=draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3, unique=True)),
         eta_count=draw(st.integers(3, 50)),
-        eta_min_exponent=draw(st.floats(-1.0, -1e-3, exclude_min=True)),
-        extreme_c=draw(maybe(st.floats(0.1, 10.0))),
         allow_moment_mismatch=draw(st.booleans()),
-        t_list=draw(maybe(times)),
         reference_samples=draw(st.integers(1, 1000)),
         threads=draw(st.integers(1, 8)),
     )

@@ -9,6 +9,7 @@ from wignerlab.profile import VarianceProfile, band_profile, flat_profile
 from wignerlab.sampler import (
     HERMITIAN,
     SYMMETRIC,
+    DRAW_CHUNK,
     DistributionError,
     WignerSample,
     derive_stream,
@@ -149,6 +150,19 @@ def test_draw_matches_fresh_array_formulation(law):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("law", [gaussian(), rademacher(), uniform(), two_point(0.3)])
+def test_chunked_draw_matches_one_call(law):
+    # more than two chunks and an odd remainder, drawn into a slice of a
+    # larger buffer as sample_matrix does; the stream then continues alike
+    count = 2 * DRAW_CHUNK + 3
+    got_rng, want_rng = derive_stream(5, 0), derive_stream(5, 0)
+    buf = np.zeros(count + 1)
+    got = law.draw(got_rng, out=buf[1:])
+    want = _reference_draw(law, want_rng, count)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.standard_normal(7).tobytes() == want_rng.standard_normal(7).tobytes()
+
+
 def _reference_matrix(p, d, symmetry, stream):
     """Full-matrix formulation: scatter through triu_indices, then h + h^H."""
     n = p.n
@@ -275,10 +289,11 @@ def test_consumed_sample_raises():
             read()
 
 
-@pytest.mark.parametrize("law", [gaussian(), uniform()])
+@pytest.mark.parametrize("law", [gaussian(), uniform(), rademacher(), two_point(0.3)])
 def test_symmetric_sample_allocates_one_matrix(law):
     # draws go straight into h: one 8 MiB buffer at N = 1024, not the
-    # packed draws and their scaled copy besides
+    # packed draws and their scaled copy besides; rademacher and two_point
+    # add one chunk's temporaries
     n = 1024
     p = flat_profile(n)
     sample_matrix(flat_profile(8), law, SYMMETRIC, derive_stream(0, 0))  # warm-up imports
