@@ -132,8 +132,7 @@ def assumption_report(p: VarianceProfile) -> AssumptionReport:
     1e-8 of 1. A symmetric circulant's spectrum is the DFT of its first column.
     """
     spec = np.sort(np.fft.fft(p.c).real)
-    col = p.sigma2.sum(axis=0)
-    row_sum_residual = float(np.max(np.abs(col - 1.0)))
+    row_sum_residual = float(abs(p.c.sum() - 1.0))  # every column sums to c.sum()
     near_one = np.abs(spec - 1.0) <= SIMPLE_EIG_TOL
     simple = int(near_one.sum()) == 1
     rest = spec[~near_one] if near_one.any() else spec[:-1]

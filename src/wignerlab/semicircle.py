@@ -1,10 +1,9 @@
 """Closed-form semicircle machinery: Stieltjes transform, density, cdf and
 classical eigenvalue locations.
 
-The classical locations are found by ``_brentq``, a line-for-line port of
-SciPy's C solver ``optimize/Zeros/brentq.c``: given the same arguments it
-returns the same bits as SciPy's ``optimize.brentq``, and the module needs
-only numpy and the standard library.
+The classical locations come from one vectorized Newton solve in the angle
+phi with x = 2 sin(phi/2), where the distribution function is elementary;
+the module needs only numpy and the standard library.
 """
 
 from __future__ import annotations
@@ -68,64 +67,23 @@ def n_sc(e: float) -> float:
 
 
 def classical_locations(n: int) -> np.ndarray:
-    """gamma_j solving n_sc(gamma_j) = j/n, j = 1..n; gamma_n pinned to 2."""
+    """gamma_j solving n_sc(gamma_j) = j/n, j = 1..n; gamma_n pinned to 2.
+
+    With x = 2 sin(phi/2), n_sc(x) = 1/2 + (phi + sin phi)/(2 pi), so
+    gamma_j = 2 sin(phi_j/2) where phi_j + sin phi_j = c_j = pi (2j - n)/n.
+    Newton steps from phi = c/2 approach each root monotonically from the
+    side of 0 (phi + sin phi is odd and concave on [0, pi]), so they stay in
+    (-pi, pi); once every step is below 1e-9, one more step lands at
+    rounding level.
+    """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    out = np.empty(n)
-    out[-1] = 2.0
-    for j in range(1, n):
-        q = j / n
-        out[j - 1] = _brentq(lambda x: n_sc(x) - q, -2.0, 2.0,
-                             xtol=1e-14, rtol=8.9e-16, maxiter=100)
-    return out
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f in [xa, xb] by Brent's method, ported operation for operation
-    from SciPy's brentq.c: every update rule and comparison is SciPy's, so
-    the root carries the same bits.  Raises ValueError when f(xa) and f(xb)
-    have the same sign and RuntimeError after maxiter steps without
-    convergence, as SciPy's brentq does."""
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    fcur = f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):  # C's signbit
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # C's MIN
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
-
+    c = np.pi * (2.0 * np.arange(1, n) - n) / n
+    phi = c / 2.0
+    for _ in range(100):
+        step = (phi + np.sin(phi) - c) / (1.0 + np.cos(phi))
+        phi -= step
+        if np.abs(step).max(initial=0.0) < 1e-9:
+            phi -= (phi + np.sin(phi) - c) / (1.0 + np.cos(phi))
+            return np.append(2.0 * np.sin(phi / 2.0), 2.0)
+    raise RuntimeError("classical_locations: Newton solve did not converge")

@@ -1,10 +1,11 @@
-"""Property-based tests (hypothesis) of the semicircle transform and of the
-config file round trip."""
+"""Property-based tests (hypothesis) of the semicircle transform, the classical
+locations and the config file round trip."""
 
 import argparse
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -13,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from wignerlab.cli import build_config, read_config  # noqa: E402
 from wignerlab.experiments import READS, ExperimentConfig  # noqa: E402
-from wignerlab.semicircle import m_sc  # noqa: E402
+from wignerlab.semicircle import classical_locations, m_sc, n_sc  # noqa: E402
 
 # the paper's spectral domain: |E| <= 5, 0 < eta <= 10
 window = st.builds(complex, st.floats(-5.0, 5.0), st.floats(1e-9, 10.0))
@@ -27,6 +28,16 @@ def test_msc_is_the_upper_root(z):
     assert abs(m) <= 1.0
     scale = abs(m) ** 2 + abs(z * m) + 1.0
     assert abs(m * m + z * m + 1.0) <= 1e-12 * scale
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5000))
+def test_classical_locations_solve_the_cdf(n):
+    g = classical_locations(n)
+    assert g[-1] == 2.0
+    assert np.all(np.diff(g) > 0)
+    assert np.max(np.abs(g[: n - 1] + g[: n - 1][::-1]), initial=0.0) <= 1e-15
+    assert max(abs(n_sc(x) - j / n) for j, x in enumerate(g, 1)) <= 1e-15
 
 
 DISTRIBUTIONS = ["gaussian", "rademacher", "uniform", "two_point:0.25", "gaussian:scale=1.5"]
