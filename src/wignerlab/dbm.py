@@ -1,8 +1,8 @@
 """Matrix Ornstein-Uhlenbeck flow toward GOE/GUE and gap-statistics tooling.
 
-The endpoint of the flow is sampled exactly in distribution as
-e^{-t/2} H_0 + sqrt(1 - e^{-t}) V with V an independent Gaussian matrix of
-entry variance 1/N.
+The flow starts from a diagonal matrix H_0 = diag(s); its endpoint is
+sampled exactly in distribution as e^{-t/2} H_0 + sqrt(1 - e^{-t}) V with V
+an independent Gaussian matrix of entry variance 1/N.
 """
 
 from __future__ import annotations
@@ -38,16 +38,24 @@ def _noise(n: int, symmetry: str, stream: np.random.Generator) -> np.ndarray:
 
 
 def ou_endpoint(
-    h0: np.ndarray, t: float, symmetry: str, stream: np.random.Generator
+    start: np.ndarray, t: float, symmetry: str, stream: np.random.Generator
 ) -> np.ndarray:
-    """Exact-in-distribution sample of the flow at time t from start h0."""
-    if t < 0:
+    """Exact-in-distribution sample of the flow at time t from diag(start).
+
+    The noise matrix becomes the sample: it is scaled where it lies and
+    e^{-t/2} start is added on its diagonal, so the sample is one N x N
+    buffer. At t = 0 the sample is diag(start) and draws nothing.
+    """
+    if not t >= 0:  # a NaN t fails every comparison
         raise FlowError(f"t={t} must be nonnegative")
+    if np.ndim(start) != 1:
+        raise FlowError(f"start of shape {np.shape(start)} is not a diagonal (n,)")
     if t == 0.0:
-        return h0.copy()
-    return math.exp(-t / 2.0) * h0 + math.sqrt(1.0 - math.exp(-t)) * _noise(
-        h0.shape[0], symmetry, stream
-    )
+        return np.diag(start)
+    h = _noise(start.size, symmetry, stream)
+    h *= math.sqrt(1.0 - math.exp(-t))
+    h.reshape(-1)[:: start.size + 1] += math.exp(-t / 2.0) * start
+    return h
 
 
 def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> np.ndarray:

@@ -462,6 +462,20 @@ def run_extreme_bound(cfg: ExperimentConfig) -> ExperimentReport:
 # flow relaxation
 
 
+def upper_mean_square(h: np.ndarray) -> float:
+    """Mean of |h_ij|^2 over i < j, with the bits of
+    ``np.mean(np.abs(h[np.triu_indices(n, 1)]) ** 2)`` but without its index
+    arrays: the moduli go row by row into one float vector, squared in place."""
+    n = h.shape[0]
+    sq = np.empty(n * (n - 1) // 2)
+    o = 0
+    for i in range(n - 1):
+        np.abs(h[i, i + 1 :], out=sq[o : o + n - 1 - i])
+        o += n - 1 - i
+    np.square(sq, out=sq)
+    return float(np.mean(sq))
+
+
 def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     """Relaxation of gap statistics from the rigid classical-location start
     toward the Gaussian equilibrium, plus the entry-variance interpolation."""
@@ -480,10 +494,9 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             f"dbm-relax streams collide at samples_per_n = {cfg.samples_per_n}: need <= 10**5"
         )
     try:  # the gap window must hold enough eigenvalues; gamma shows it undrawn
-        dbm.gap_distribution(gamma, dbm.GAP_WINDOW)
+        start_gaps = dbm.gap_distribution(gamma, dbm.GAP_WINDOW)
     except dbm.SampleSizeError as exc:
         raise ConfigError(f"N = {n} too small for dbm-relax: {exc}") from exc
-    h0 = np.diag(gamma)
     ref_stream = derive_stream(cfg.master_seed, 10**6 + 1)
     reference = dbm.equilibrium_gap_reference(
         n, cfg.symmetry, cfg.reference_samples, ref_stream
@@ -491,18 +504,22 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     columns = ["t", "ks", "n_gaps", "offdiag_var_z", "diag_var_z"]
     rows = []
     ks_by_t = {}
-    iu = np.triu_indices(n, k=1)
     for ti, t in enumerate(t_list):
         def one(i, t=t, ti=ti):
             stream = derive_stream(cfg.master_seed, ti * 10**5 + i)
-            ht = dbm.ou_endpoint(h0, t, cfg.symmetry, stream)
-            off_mean = float(np.mean(np.abs(ht[iu]) ** 2)) * n
+            ht = dbm.ou_endpoint(gamma, t, cfg.symmetry, stream)
+            off_mean = upper_mean_square(ht) * n
             diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
             # the factorization overwrites ht, so it comes last
             gaps = dbm.gap_distribution(WignerSample(h=ht).eigenvalues(), dbm.GAP_WINDOW)
             return gaps, off_mean, diag_dev
 
-        results = _map_indexed(one, cfg.samples_per_n, cfg.threads)
+        if t == 0.0:
+            # every sample is the start diag(gamma), whose eigenvalues LAPACK
+            # returns as gamma, bit for bit, and whose deviations are zero
+            results = [(start_gaps, 0.0, 0.0)] * cfg.samples_per_n
+        else:
+            results = _map_indexed(one, cfg.samples_per_n, cfg.threads)
         pooled = np.concatenate([r[0] for r in results])
         ks, _, _ = ks_two_sample(pooled, reference)
         ks_by_t[t] = ks

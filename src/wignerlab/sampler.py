@@ -26,7 +26,8 @@ class DistributionError(ValueError):
 
 
 # rademacher and two_point draw through a temporary (integers() has no out=),
-# so they fill their output this many leading entries at a time
+# so they fill their output this many leading entries at a time; a Hermitian
+# sample's scratch batch holds a quarter as many entries
 DRAW_CHUNK = 1 << 16
 
 
@@ -248,29 +249,39 @@ def sample_matrix(
     """
     n = p.n
     m = n * (n - 1) // 2
+    # the real draws fill the last m float slots of h itself; row i's target
+    # h[i, i+1:] ends before its own draws and every later row's (real h: at
+    # slot n(i+1) <= n^2 - (n-1-i)(n-i)/2; complex h: at float slot
+    # 2n(i+1) <= 2n^2 - (n-1-i)(n-i)/2), so no row overwrites draws still unread
     if symmetry == SYMMETRIC:
-        # the draws fill the last m slots of h itself; row i's draws start at
-        # least n slots past the end of its target h[i, i+1:], so no row
-        # overwrites draws a later row still reads
         h = np.empty((n, n))
         upper = d.draw(stream, out=h.reshape(-1)[n * n - m :])
     elif symmetry == HERMITIAN:
-        # independent real/imaginary parts, each of variance sigma2/2, in one
-        # buffer: the bits of (re + 1j * im) / sqrt(2) for every draw but -0.0
-        upper = np.empty(m, dtype=complex)
-        upper.real = d.draw(stream, m)
-        upper.imag = d.draw(stream, m)
-        upper /= math.sqrt(2.0)
         h = np.empty((n, n), dtype=complex)
+        upper = d.draw(stream, out=h.reshape(-1).view(float)[2 * n * n - m :])
+        # the imaginary parts (drawn after all real parts) and the complex
+        # entries go through scratch one batch of whole rows at a time: at
+        # most DRAW_CHUNK / 4 entries of 24 bytes, or one row
+        rows = max(1, DRAW_CHUNK // 4 // (n - 1))
+        imag, entries = np.empty(rows * (n - 1)), np.empty(rows * (n - 1), dtype=complex)
     else:
         raise ValueError(f"unknown symmetry class {symmetry!r}")
     root = np.sqrt(p.c)
     # sqrt(sigma2[i, i+1:]) is root[n-1], root[n-2], ..., root[i+1]
     reverse = root[::-1]
+    src, base = upper, 0  # row i's k entries are src[o - base : o - base + k]
     o = 0
     for i in range(n - 1):
         k = n - 1 - i
-        np.multiply(upper[o : o + k], reverse[:k], out=h[i, i + 1 :])
+        if symmetry == HERMITIAN and i % rows == 0:
+            # independent real/imaginary parts, each of variance sigma2/2:
+            # the bits of (re + 1j * im) / sqrt(2) for every draw but -0.0
+            j = min(i + rows, n - 1)
+            src, base = entries[: (j - i) * (2 * n - 1 - i - j) // 2], o
+            src.real = upper[o : o + src.size]
+            src.imag = d.draw(stream, out=imag[: src.size])
+            src /= math.sqrt(2.0)
+        np.multiply(src[o - base : o - base + k], reverse[:k], out=h[i, i + 1 :])
         o += k
     _mirror_upper(h)
     np.fill_diagonal(h, d.draw(stream, n) * root[0])

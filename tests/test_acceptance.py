@@ -3,6 +3,8 @@
 Each test covers one release criterion at its stated size and tolerance and
 prints a single PASS/FAIL line (visible with pytest -s or on failure).
 Heavy Monte Carlo fixtures are module-scoped and shared between criteria.
+Every test carries the ``acceptance`` marker: ``pytest -m "not acceptance"``
+runs the unit tests alone.
 """
 
 import math
@@ -24,6 +26,8 @@ from wignerlab.profile import flat_profile
 from wignerlab.resolvent import identity_trial
 from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, gaussian, sample_matrix
 from wignerlab.semicircle import classical_locations, m_sc, n_sc
+
+pytestmark = pytest.mark.acceptance
 
 CALIB = load_calibration()
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,50 +8,102 @@ import pytest
 from wignerlab.dbm import (
     FlowError,
     SampleSizeError,
+    _noise,
     equilibrium_gap_reference,
     gap_distribution,
     ou_endpoint,
 )
-from wignerlab.profile import flat_profile
-from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, gaussian, sample_matrix
+from wignerlab.experiments import ExperimentConfig, run_dbm_relax
+from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, eigvalsh_inplace
 from wignerlab.semicircle import classical_locations, rho_sc
 
 
-def start_matrix(n, seed=0):
-    return sample_matrix(flat_profile(n), gaussian(), SYMMETRIC, derive_stream(seed, 0)).h
+def start_diagonal(n, seed=0):
+    return derive_stream(seed, 0).standard_normal(n)
 
 
 def test_endpoint_t0_identity():
-    h0 = start_matrix(16)
-    ht = ou_endpoint(h0, 0.0, SYMMETRIC, derive_stream(1, 0))
-    assert np.array_equal(ht, h0)
+    start = start_diagonal(16)
+    ht = ou_endpoint(start, 0.0, SYMMETRIC, derive_stream(1, 0))
+    assert np.array_equal(ht, np.diag(start))
 
 
 def test_endpoint_negative_t_rejected():
     with pytest.raises(FlowError):
-        ou_endpoint(start_matrix(4), -0.1, SYMMETRIC, derive_stream(1, 0))
+        ou_endpoint(start_diagonal(4), -0.1, SYMMETRIC, derive_stream(1, 0))
+
+
+def test_endpoint_nan_t_rejected():
+    # NaN < 0 is False: a sign test alone lets it through to an all-NaN sample
+    with pytest.raises(FlowError):
+        ou_endpoint(start_diagonal(4), math.nan, SYMMETRIC, derive_stream(1, 0))
+
+
+def test_endpoint_dense_start_rejected():
+    with pytest.raises(FlowError):
+        ou_endpoint(np.diag(start_diagonal(4)), 0.5, SYMMETRIC, derive_stream(1, 0))
 
 
 def test_endpoint_large_t_forgets_start():
-    h0 = np.diag(np.full(64, 100.0))
-    ht = ou_endpoint(h0, 80.0, SYMMETRIC, derive_stream(2, 0))
+    ht = ou_endpoint(np.full(64, 100.0), 80.0, SYMMETRIC, derive_stream(2, 0))
     assert np.max(np.abs(np.diag(ht))) < 10.0  # e^{-40} * 100 + Gaussian noise
 
 
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+@pytest.mark.parametrize("n", [2, 3, 130])
+def test_endpoint_bits_match_dense_formula(symmetry, n):
+    # scaling the noise in place and adding the start on its diagonal gives
+    # the bits of the dense e^{-t/2} diag(s) + sqrt(1 - e^{-t}) V
+    start = classical_locations(n)
+    for r, t in enumerate([1e-3, 0.5 / n, 0.7, 4.0, 30.0]):
+        dense = math.exp(-t / 2.0) * np.diag(start) + math.sqrt(1.0 - math.exp(-t)) * _noise(
+            n, symmetry, derive_stream(5, r)
+        )
+        ht = ou_endpoint(start, t, symmetry, derive_stream(5, r))
+        assert ht.dtype == dense.dtype
+        assert ht.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [130, 512])
+def test_eigvalsh_of_diagonal_start_is_exact(dtype, n):
+    # dbm-relax takes the start's spectrum as gamma itself
+    gamma = classical_locations(n)
+    assert eigvalsh_inplace(np.diag(gamma).astype(dtype)).tobytes() == gamma.tobytes()
+
+
 def test_endpoint_variance_interpolation():
-    # E|H_t,ij|^2 = e^{-t} sigma2 + (1 - e^{-t})/n, Monte Carlo vs analytic
+    # H_t - e^{-t/2} diag(s) is noise of entry variance (1 - e^{-t})/n, on
+    # and off the diagonal; Monte Carlo vs analytic, in both classes
     n, t, m = 32, 0.7, 400
-    h0 = start_matrix(n, seed=3)
+    start = start_diagonal(n, seed=3)
     iu = np.triu_indices(n, k=1)
-    sigma2 = np.abs(h0[iu]) ** 2
-    vals = np.empty((m, iu[0].size))
-    for r in range(m):
-        ht = ou_endpoint(h0, t, SYMMETRIC, derive_stream(4, r))
-        vals[r] = np.abs(ht[iu]) ** 2
-    target = math.exp(-t) * sigma2.mean() + (1.0 - math.exp(-t)) / n
-    obs = vals.mean()
-    se = vals.mean(axis=1).std(ddof=1) / math.sqrt(m)
-    assert abs(obs - target) <= 4 * se
+    target = (1.0 - math.exp(-t)) / n
+    for symmetry in (SYMMETRIC, HERMITIAN):
+        off = np.empty((m, iu[0].size))
+        diag = np.empty((m, n))
+        for r in range(m):
+            ht = ou_endpoint(start, t, symmetry, derive_stream(4, r))
+            off[r] = np.abs(ht[iu]) ** 2
+            diag[r] = np.abs(np.diag(ht) - math.exp(-t / 2.0) * start) ** 2
+        for vals in (off, diag):
+            se = vals.mean(axis=1).std(ddof=1) / math.sqrt(m)
+            assert abs(vals.mean() - target) <= 4 * se
+
+
+def test_dbm_relax_holds_one_matrix():
+    # the flow sample is the noise buffer itself and the off-diagonal
+    # statistic takes half a matrix: no dense start, no triu index arrays
+    n = 512
+    cfg = ExperimentConfig(n_list=[n], samples_per_n=2, reference_samples=2, master_seed=6)
+    run_dbm_relax(replace(cfg, n_list=[130]))  # warm-up imports and caches
+    tracemalloc.start()
+    try:
+        run_dbm_relax(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n
 
 
 def test_semigroup_coefficient_identity():
@@ -58,9 +112,9 @@ def test_semigroup_coefficient_identity():
 
 
 def test_endpoint_preserves_symmetry():
-    h0 = sample_matrix(flat_profile(10), gaussian(), HERMITIAN, derive_stream(7, 0)).h
+    start = start_diagonal(10, seed=7)
     for r, t in enumerate([0.1, 0.3, 0.9]):
-        h = ou_endpoint(h0, t, HERMITIAN, derive_stream(7, r + 1))
+        h = ou_endpoint(start, t, HERMITIAN, derive_stream(7, r + 1))
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 

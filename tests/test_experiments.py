@@ -31,8 +31,10 @@ from wignerlab.experiments import (
     run_lsc,
     run_rigidity,
     slope_fit,
+    upper_mean_square,
 )
-from wignerlab.sampler import HERMITIAN, from_name, sample_indexed
+from wignerlab.profile import flat_profile
+from wignerlab.sampler import HERMITIAN, SYMMETRIC, from_name, sample_indexed
 from wignerlab.semicircle import classical_locations, n_sc
 
 
@@ -84,6 +86,14 @@ def test_slope_fit_rejects_bad_input():
         slope_fit([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         slope_fit([1.0, -2.0, 3.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+@pytest.mark.parametrize("n", [2, 3, 64, 130])
+def test_upper_mean_square_bits_match_index_arrays(symmetry, n):
+    h = sample_indexed(flat_profile(n), from_name("gaussian"), symmetry, 3, 0).h
+    iu = np.triu_indices(n, k=1)
+    assert upper_mean_square(h) == float(np.mean(np.abs(h[iu]) ** 2))
 
 
 def test_nearest_rank_quantile():

@@ -59,3 +59,14 @@ def test_runner_csv_hash(name, tmp_path):
     path = tmp_path / f"{name}.csv"
     rep.write_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+def test_dbm_relax_hermitian_csv_hash(tmp_path):
+    # the complex flow and its in-place noise; GOLDEN pins the real class
+    cfg = ExperimentConfig(n_list=[130], samples_per_n=2, reference_samples=3,
+                           symmetry="hermitian", master_seed=17)
+    path = tmp_path / "dbm-relax-hermitian.csv"
+    RUNNERS["dbm-relax"](cfg).write_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "b0df405ec0dde940e3f05af605f418c0c3b9c614146f45c0c85de10a2c5dd4d2"
+    )

@@ -220,6 +220,18 @@ def test_sample_matrix_matches_full_matrix_formulation(kind, symmetry, n):
         assert got.tobytes() == want.tobytes()
 
 
+# Hermitian scratch batches of one row, two rows, and seven rows with a short
+# last batch; at the default size one row fills a batch only when N > 16385
+@pytest.mark.parametrize("chunk", [4, 1200, 4000])
+def test_hermitian_batches_match_full_matrix_formulation(chunk, monkeypatch):
+    monkeypatch.setattr(sampler, "DRAW_CHUNK", chunk)
+    p = _band(130)
+    for k, law in enumerate(_LAWS):
+        got = sample_matrix(p, law, HERMITIAN, derive_stream(130, k)).h
+        want = _reference_matrix(p, law, HERMITIAN, derive_stream(130, k))
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("method", ["eigenvalues", "eigen_pair"])
 def test_non_finite_spectrum_raises(method):
     h = np.eye(4)
@@ -289,18 +301,22 @@ def test_consumed_sample_raises():
             read()
 
 
-@pytest.mark.parametrize("law", [gaussian(), uniform(), rademacher(), two_point(0.3)])
-def test_symmetric_sample_allocates_one_matrix(law):
-    # draws go straight into h: one 8 MiB buffer at N = 1024, not the
-    # packed draws and their scaled copy besides; rademacher and two_point
-    # add one chunk's temporaries
+@pytest.mark.parametrize("symmetry, law", [
+    *(pytest.param(SYMMETRIC, law, id=f"law{k}") for k, law in enumerate(_LAWS)),
+    *(pytest.param(HERMITIAN, law, id=f"hermitian-law{k}") for k, law in enumerate(_LAWS)),
+])
+def test_symmetric_sample_allocates_one_matrix(symmetry, law):
+    # draws go straight into h: one buffer at N = 1024 (8 MiB real, 16 MiB
+    # complex), not the packed draws and their scaled copy besides;
+    # rademacher and two_point add one chunk's temporaries, a Hermitian
+    # sample one row of imaginary parts
     n = 1024
     p = flat_profile(n)
-    sample_matrix(flat_profile(8), law, SYMMETRIC, derive_stream(0, 0))  # warm-up imports
+    sample_matrix(flat_profile(8), law, symmetry, derive_stream(0, 0))  # warm-up imports
     tracemalloc.start()
     try:
-        sample_matrix(p, law, SYMMETRIC, derive_stream(0, 0))
+        h = sample_matrix(p, law, symmetry, derive_stream(0, 0)).h
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * n * n + 2**20
+    assert peak <= h.nbytes + 2**20
