@@ -494,7 +494,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             f"dbm-relax streams collide at samples_per_n = {cfg.samples_per_n}: need <= 10**5"
         )
     try:  # the gap window must hold enough eigenvalues; gamma shows it undrawn
-        start_gaps = dbm.gap_distribution(gamma, dbm.GAP_WINDOW)
+        dbm.gap_distribution(gamma, dbm.GAP_WINDOW)
     except dbm.SampleSizeError as exc:
         raise ConfigError(f"N = {n} too small for dbm-relax: {exc}") from exc
     ref_stream = derive_stream(cfg.master_seed, 10**6 + 1)
@@ -514,12 +514,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             gaps = dbm.gap_distribution(WignerSample(h=ht).eigenvalues(), dbm.GAP_WINDOW)
             return gaps, off_mean, diag_dev
 
-        if t == 0.0:
-            # every sample is the start diag(gamma), whose eigenvalues LAPACK
-            # returns as gamma, bit for bit, and whose deviations are zero
-            results = [(start_gaps, 0.0, 0.0)] * cfg.samples_per_n
-        else:
-            results = _map_indexed(one, cfg.samples_per_n, cfg.threads)
+        results = _map_indexed(one, cfg.samples_per_n, cfg.threads)
         pooled = np.concatenate([r[0] for r in results])
         ks, _, _ = ks_two_sample(pooled, reference)
         ks_by_t[t] = ks
