@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from wignerlab import experiments
+from wignerlab import cli, experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,3 +76,16 @@ def test_per_layer_metrics_name_existing_spans():
         mod = importlib.import_module(f"wignerlab.{parts[0]}")
         fn = getattr(mod, parts[1], None)
         assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, metric
+
+
+def test_report_json_has_the_keys_run_reads(tmp_path):
+    """`run.py` reads the report's top-level `passed` and each check's `name`
+    and `passed`; a report without them fails every benchmark process."""
+    out = tmp_path / "out"
+    argv = ["counting", "--n", "64", "--samples", "2", "--out", str(out), "--quiet"]
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    report = json.loads((out / "counting.json").read_text())
+    assert isinstance(report["passed"], bool)
+    assert report["checks"]
+    for check in report["checks"]:
+        assert isinstance(check["name"], str) and isinstance(check["passed"], bool)

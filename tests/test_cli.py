@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from wignerlab import cli
 from wignerlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -53,6 +55,31 @@ def test_identities_pass(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 5
+
+
+def test_failing_check_prints_and_records_its_margin(tmp_path, capsys):
+    # entries four times too large put the spectrum near +-8, past the
+    # extreme bound's threshold of about 7.3 at N = 64
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text("distribution = gaussian:scale=4\n")
+    out = tmp_path / "out"
+    argv = ["extreme", "--config", str(cfg_file), "--n", "64", "--samples", "5", "--out", str(out)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[FAIL] extreme_n64:")]
+    assert float(line.rsplit("margin ", 1)[1]) < 0
+    summary = json.loads((out / "extreme.json").read_text())
+    (check,) = summary["checks"]
+    assert check["name"] == "extreme_n64" and check["passed"] is False and check["margin"] < 0
+    assert summary["passed"] is False
+
+
+def test_identities_nan_residual_fails(monkeypatch, capsys):
+    # a NaN in any trial, not only the first, fails that identity
+    trials = iter([(0.0,) * 5, (0.0, math.nan, 0.0, 0.0, 0.0), (0.0,) * 5])
+    monkeypatch.setattr(cli, "identity_trial", lambda s, rng: next(trials))
+    assert main(["identities", "--n", "4", "--samples", "3"]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "[FAIL] identity_offdiag: nan" in out and out.count("[PASS]") == 4
 
 
 def test_gamma_table(tmp_path, capsys):
@@ -111,13 +138,12 @@ def test_read_config(tmp_path):
     cfg_file = tmp_path / "run.conf"
     cfg_file.write_text(
         "# comment\n"
-        "experiment.n_list = 32,64\n"
-        "experiment.samples_per_n = 4   # inline comment\n"
-        "experiment.master_seed = 99\n"
+        "n_list = 32,64\n"
+        "samples_per_n = 4   # inline comment\n"
+        "master_seed = 99\n"
     )
     values = read_config(str(cfg_file))
-    assert values["experiment.n_list"] == "32,64"
-    assert values["experiment.samples_per_n"] == "4"
+    assert values == {"n_list": "32,64", "samples_per_n": "4", "master_seed": "99"}
 
 
 def test_read_config_rejects_garbage(tmp_path):
@@ -129,7 +155,7 @@ def test_read_config_rejects_garbage(tmp_path):
 
 def test_counting_run_with_config(tmp_path, capsys):
     cfg_file = tmp_path / "run.conf"
-    cfg_file.write_text("experiment.n_list = 64\nexperiment.samples_per_n = 4\n")
+    cfg_file.write_text("n_list = 64\nsamples_per_n = 4\n")
     out = tmp_path / "out"
     code = main(["counting", "--config", str(cfg_file), "--out", str(out)])
     assert code == EXIT_OK
@@ -142,7 +168,7 @@ def test_counting_run_with_config(tmp_path, capsys):
 
 def test_flag_overrides_config(tmp_path):
     cfg_file = tmp_path / "run.conf"
-    cfg_file.write_text("experiment.master_seed = 5\nexperiment.n_list = 64\n")
+    cfg_file.write_text("master_seed = 5\nn_list = 64\n")
     out = tmp_path / "out"
     code = main([
         "counting", "--config", str(cfg_file), "--out", str(out),
@@ -155,9 +181,14 @@ def test_flag_overrides_config(tmp_path):
 
 
 def test_unknown_config_key_usage_error(tmp_path, capsys):
+    # a key that names no field, and a field under a namespace prefix, which
+    # config keys do not take
     cfg_file = tmp_path / "run.conf"
-    cfg_file.write_text("experiment.wat = 1\n")
-    assert main(["counting", "--config", str(cfg_file)]) == EXIT_USAGE
+    for line in ("wat = 1", "experiment.samples_per_n = 4"):
+        cfg_file.write_text(f"{line}\n")
+        assert main(["counting", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "does not read config key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_identical_invocations_identical_files(tmp_path):
@@ -226,6 +257,7 @@ BAD_CONFIGS = [
     ("dbm-relax", "n_list = 128,256"),
     # a repeated key: the last line would silently win
     ("counting", "samples_per_n = 4\nsamples_per_n = 6"),
+    # a prefixed key names no field
     ("counting", "samples_per_n = 4\nexperiment.samples_per_n = 6"),
 ]
 
@@ -234,7 +266,7 @@ BAD_CONFIGS = [
 def test_bad_config_fails_when_built(tmp_path, capsys, command, lines):
     # n_list = 32 and samples_per_n = 2 unless the row sets them, since a
     # repeated key is itself an error
-    keys = {line.split("=")[0].strip().removeprefix("experiment.") for line in lines.splitlines()}
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
     base = "".join(f"{k} = {v}\n" for k, v in [("n_list", 32), ("samples_per_n", 2)] if k not in keys)
     cfg_file = tmp_path / "run.conf"
     cfg_file.write_text(f"{base}{lines}\n")

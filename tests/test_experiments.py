@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import threading
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from wignerlab import sampler
+from wignerlab import experiments, sampler
 from wignerlab.experiments import (
     READS,
     RUNNERS,
@@ -281,9 +282,40 @@ def test_report_rerun_byte_identical(tmp_path):
     assert "content_hash" in j
 
 
-def test_check_dataclass():
-    c = Check("x", True, "fine")
-    assert c.passed and c.name == "x"
+@pytest.mark.parametrize("value, bounds, passed, margin", [
+    (0.5, dict(lo=0.0, hi=2.0), True, 0.5),
+    (-1.0, dict(lo=0.0, hi=2.0), False, -1.0),
+    (3.5, dict(lo=0.0, hi=2.0), False, -1.5),
+    (0.25, dict(hi=1.0), True, 0.75),
+    (1.25, dict(hi=1.0), False, -0.25),
+    (3.0, dict(lo=1.0), True, 2.0),
+    (0.5, dict(lo=1.0), False, -0.5),
+    (2.0, dict(lo=0.0, hi=2.0), True, 0.0),
+    (0.0, dict(hi=0.0), True, 0.0),
+    (math.nan, dict(lo=0.0, hi=2.0), False, math.nan),
+    (math.nan, dict(hi=4.0), False, math.nan),
+], ids=["inside", "below", "above", "hi-inside", "hi-above", "lo-inside", "lo-below",
+        "at-hi", "at-hi-zero", "nan", "nan-one-sided"])
+def test_check_margin_and_verdict(value, bounds, passed, margin):
+    c = Check("x", value, **bounds)
+    assert c.passed is passed
+    assert c.margin == pytest.approx(margin, nan_ok=True)
+    assert f"margin {c.margin:.4g}" in c.detail
+    assert "inf" not in c.detail
+
+
+@pytest.mark.parametrize("nan_at", [0, 1], ids=["offdiag-z", "diag-z"])
+def test_variance_interp_fails_on_a_nan_z(monkeypatch, nan_at):
+    # at each flow time the runner takes fmean of the off-diagonal statistic,
+    # then of the diagonal one; one of the two turns NaN, and so does its z
+    # except at t = 0, where z is 0 by definition
+    calls, real = itertools.count(), experiments.fmean
+    monkeypatch.setattr(experiments, "fmean",
+                        lambda xs: math.nan if next(calls) % 2 == nan_at else real(xs))
+    rep = run_dbm_relax(ExperimentConfig(n_list=[96], samples_per_n=2, reference_samples=1))
+    interp = [c for c in rep.checks if c.name.startswith("variance_interp_t")]
+    assert [c.passed for c in interp] == [True, False, False, False, False]
+    assert all(math.isnan(row[3 + nan_at]) for row in rep.rows[1:])
 
 
 def test_monte_carlo_matches_serial_draws():

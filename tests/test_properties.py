@@ -75,7 +75,7 @@ def _render(value) -> str:
 def test_config_file_round_trip(drawn, command):
     # the runner's fields as drawn, every other field at its default
     cfg = ExperimentConfig(**{name: getattr(drawn, name) for name in READS[command]})
-    lines = [f"experiment.{name} = {_render(getattr(cfg, name))}"
+    lines = [f"{name} = {_render(getattr(cfg, name))}"
              for name in sorted(READS[command]) if getattr(cfg, name) is not None]
     no_flags = argparse.Namespace(command=command, n=None, samples=None, seed=None, threads=None)
     with tempfile.TemporaryDirectory() as tmp:
