@@ -39,40 +39,67 @@ class GreenSnapshot:
     lam: float
 
 
-class _Resolvent:
-    """U diag(1/(w - z)) U^H for one spectral factorization (w, U).
+_STRIP = 128  # rows of G per GEMM: the fastest of 64-256 at N = 256, 512, 1024
 
-    The N×N work arrays are allocated once: each ``at`` overwrites the G the
-    previous one returned. Real eigenvectors (symmetric class) take two real
-    GEMMs, one for each of Re G and Im G; complex ones (Hermitian class) take
-    one complex GEMM. The GEMMs hold ``BLAS_LOCK``.
+
+class _Resolvent:
+    """G = U diag(1/(w - z)) U^H for one spectral factorization (w, U), in
+    row strips, in work arrays allocated once; each strip overwrites the last.
+
+    Real U (symmetric class) gives a complex symmetric G, so only its upper
+    triangle is computed: with B = diag(1/(w - z)) U^T, G[lo:hi, lo:] is one
+    real GEMM of u[lo:hi] with the float view of B[:, lo:]. Complex U
+    (Hermitian class) takes one complex GEMM for all of G. The GEMMs hold
+    ``BLAS_LOCK``.
     """
 
     def __init__(self, w: np.ndarray, u: np.ndarray):
-        self.w, self.u = w, u
-        self.uh = u.conj().T  # for real u, conj() is u itself
-        self.g = np.empty(u.shape, dtype=np.complex128)
-        self.scaled = np.empty_like(u)
-        self.part = np.empty(u.shape)  # a real GEMM's output; free once G is
+        self.w, self.u, self.n = w, u, len(w)
+        self.real = not np.iscomplexobj(u)
+        if self.real:
+            self.ut = np.ascontiguousarray(u.T)
+            self.b = np.empty(u.shape, dtype=np.complex128)
+            self.g = np.empty(min(self.n, _STRIP) * self.n, dtype=np.complex128)
+        else:
+            self.uh = u.conj().T
+            self.scaled = np.empty_like(u)
+            self.g = np.empty(u.shape, dtype=np.complex128)
 
-    def at(self, z: complex) -> np.ndarray:
+    def strips(self, z: complex):
+        """Yield (lo, c0, g), g = G[lo:lo + len(g), c0:], for consecutive row
+        strips: c0 = lo for real U, c0 = 0 for complex U."""
         inv = 1.0 / (self.w - z)
-        if np.iscomplexobj(self.u):
+        n = self.n
+        if not self.real:
             np.multiply(self.u, inv, out=self.scaled)
             with BLAS_LOCK:
-                return np.matmul(self.scaled, self.uh, out=self.g)
-        for half, factor in ((self.g.real, inv.real), (self.g.imag, inv.imag)):
-            np.multiply(self.u, factor, out=self.scaled)
+                np.matmul(self.scaled, self.uh, out=self.g)
+            for lo in range(0, n, _STRIP):
+                yield lo, 0, self.g[lo:lo + _STRIP]
+            return
+        np.multiply(self.ut, inv.real[:, None], out=self.b.real)
+        np.multiply(self.ut, inv.imag[:, None], out=self.b.imag)
+        b = self.b.view(np.float64)
+        for lo in range(0, n, _STRIP):
+            hi = min(lo + _STRIP, n)
+            g = self.g[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
             with BLAS_LOCK:
-                np.matmul(self.scaled, self.uh, out=self.part)
-            half[...] = self.part
-        return self.g
+                np.matmul(self.u[lo:hi], b[:, 2 * lo:], out=g.view(np.float64))
+            yield lo, lo, g
 
 
 def green_at(s: WignerSample, z: SpectralPoint) -> np.ndarray:
     """Full resolvent G = (H - z)^-1 from the sample's cached spectral
-    factorization, as a fresh complex128 array."""
-    return _Resolvent(*s.eigen_pair()).at(z.z)
+    factorization, as a fresh complex128 array. In the symmetric class each
+    pair G_ij = G_ji is computed once, so G is exactly symmetric."""
+    r = _Resolvent(*s.eigen_pair())
+    g = np.empty((r.n, r.n), dtype=np.complex128)
+    for lo, c0, strip in r.strips(z.z):
+        g[lo:lo + len(strip), c0:] = strip
+    if r.real:
+        lower = np.tril_indices(r.n, -1)
+        g[lower] = g.T[lower]
+    return g
 
 
 def ward_residual(g: np.ndarray, z: SpectralPoint) -> float:
@@ -82,13 +109,10 @@ def ward_residual(g: np.ndarray, z: SpectralPoint) -> float:
     return float((np.abs(lhs - rhs) / np.abs(rhs)).max())
 
 
-def control_params(g: np.ndarray, z: SpectralPoint, out: np.ndarray | None = None) -> GreenSnapshot:
+def control_params(g: np.ndarray, z: SpectralPoint) -> GreenSnapshot:
     """Largest off-diagonal entry of G and the averaged deviation
-    |m_N - m_sc| of its normalized trace from the semicircle transform.
-
-    |G| is written into ``out`` (a real N×N array) when one is given.
-    """
-    off = np.abs(g, out=out)
+    |m_N - m_sc| of its normalized trace from the semicircle transform."""
+    off = np.abs(g)
     np.fill_diagonal(off, 0.0)
     lambda_o = float(off.max()) if g.shape[0] > 1 else 0.0
     lam = abs(complex(np.diag(g).mean()) - m_sc(z))
@@ -97,9 +121,25 @@ def control_params(g: np.ndarray, z: SpectralPoint, out: np.ndarray | None = Non
 
 def control_sweep(s: WignerSample, pts: list[SpectralPoint]) -> list[GreenSnapshot]:
     """``control_params(green_at(s, z), z)`` for each z in pts, with the same
-    bits, computed in N×N work arrays allocated once for the sample."""
+    bits, reduced strip by strip in work arrays allocated once for the
+    sample; the full G is never formed in the symmetric class."""
     r = _Resolvent(*s.eigen_pair())
-    return [control_params(r.at(z.z), z, out=r.part) for z in pts]
+    n = r.n
+    # the entries Λ_o ranges over; j > i suffices when G is symmetric
+    keep = np.triu(np.ones((n, n), dtype=bool), 1) if r.real else ~np.eye(n, dtype=bool)
+    mag = np.empty(min(n, _STRIP) * n)
+    diag = np.empty(n, dtype=np.complex128)
+    snaps = []
+    for z in pts:
+        lambda_o = np.float64(0.0)
+        for lo, c0, g in r.strips(z.z):
+            h = len(g)
+            a = np.abs(g, out=mag[:g.size].reshape(g.shape))
+            lambda_o = np.maximum(lambda_o, a.max(where=keep[lo:lo + h, c0:], initial=0.0))
+            diag[lo:lo + h] = g.diagonal(lo - c0)
+        lam = abs(complex(diag.mean()) - m_sc(z))
+        snaps.append(GreenSnapshot(lambda_o=float(lambda_o), lam=lam))
+    return snaps
 
 
 def minor_green(s: WignerSample, t: MinorSpec, z: SpectralPoint) -> np.ndarray:

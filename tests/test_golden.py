@@ -18,7 +18,7 @@ from wignerlab.experiments import RUNNERS, ExperimentConfig
 GOLDEN = {
     "lsc": (
         dict(n_list=[64], samples_per_n=3, eta_count=4, master_seed=11),
-        "2ef4caf557669748d261b23b1bd9ed463402352aa88729cffcc4257a81fa04a7",
+        "7f089ce71e43ef7cb47e4fc46d41cdd030630a459cd53b5ccf0d400b7a097bb5",
     ),
     "rigidity": (
         dict(n_list=[24, 32, 48], samples_per_n=3, profile="band:w=6",

@@ -5,6 +5,7 @@ import pytest
 
 from wignerlab.profile import flat_profile
 from wignerlab.resolvent import (
+    _STRIP,
     MinorSpec,
     SingularityError,
     control_params,
@@ -111,10 +112,8 @@ def test_green_hermitian_bytes_unchanged():
 
 
 def two_gemm_formula(w, u, z):
-    # the arithmetic green_at keeps bit for bit: one complex GEMM for complex
-    # eigenvectors, one real GEMM each for Re G and Im G for real ones
-    if np.iscomplexobj(u):
-        return spectral_formula(w, u, z)
+    # the reference for the symmetric class: one real GEMM each for Re G and
+    # Im G over all N×N entries
     inv = 1.0 / (w - z)
     g = np.empty(u.shape, dtype=np.complex128)
     g.real = (u * inv.real) @ u.T
@@ -122,9 +121,31 @@ def two_gemm_formula(w, u, z):
     return g
 
 
-# N = 130 is large enough for the GEMMs to take the multithreaded BLAS path
+def strip_formula(w, u, z):
+    # the arithmetic green_at keeps bit for bit: one complex GEMM for complex
+    # eigenvectors; for real ones B = diag(1/(w - z)) U^T, its Re and Im
+    # written separately, one real GEMM per strip of _STRIP rows for
+    # G[lo:hi, lo:], and the upper triangle mirrored below the diagonal
+    if np.iscomplexobj(u):
+        return spectral_formula(w, u, z)
+    n = len(w)
+    inv = 1.0 / (w - z)
+    b = np.empty(u.shape, dtype=np.complex128)
+    b.real = inv.real[:, None] * u.T
+    b.imag = inv.imag[:, None] * u.T
+    g = np.empty(u.shape, dtype=np.complex128)
+    for lo in range(0, n, _STRIP):
+        hi = min(lo + _STRIP, n)
+        g[lo:hi, lo:] = (u[lo:hi] @ b.view(np.float64)[:, 2 * lo:]).view(np.complex128)
+    for i in range(n):
+        g[i + 1:, i] = g[i, i + 1:]
+    return g
+
+
+# N = 130 is large enough for the GEMMs to take the multithreaded BLAS path;
+# the last four sizes put a strip edge on either side of a row
 @pytest.mark.parametrize("sym", [SYMMETRIC, HERMITIAN])
-@pytest.mark.parametrize("n", [2, 3, 130])
+@pytest.mark.parametrize("n", [2, 3, 130, _STRIP - 1, _STRIP, _STRIP + 1, 2 * _STRIP + 1])
 def test_control_sweep_bits_equal_green_at(sym, n):
     s = make_sample(n, sym=sym, seed=17)
     w, u = s.eigen_pair()
@@ -134,9 +155,32 @@ def test_control_sweep_bits_equal_green_at(sym, n):
     assert len(snaps) == len(pts)
     for z, snap in zip(pts, snaps):
         g = green_at(s, z)
-        assert g.tobytes() == two_gemm_formula(w, u, z.z).tobytes()
+        assert g.tobytes() == strip_formula(w, u, z.z).tobytes()
         ref = control_params(g, z)
         assert (snap.lam, snap.lambda_o) == (ref.lam, ref.lambda_o)
+
+
+@pytest.mark.parametrize("n", [2, 3, 130, 512])
+def test_green_symmetric_is_symmetric_near_two_gemm_formula(n):
+    s = make_sample(n, seed=19)
+    w, u = s.eigen_pair()
+    for eta in (n**-0.9, 0.05, 1.0):
+        z = SpectralPoint(-0.4, eta)
+        g = green_at(s, z)
+        assert np.array_equal(g, g.T)
+        ref = two_gemm_formula(w, u, z.z)
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("sym", [SYMMETRIC, HERMITIAN])
+@pytest.mark.parametrize("n", [2, 2 * _STRIP + 1])
+def test_diagonal_h_has_no_offdiagonal_resolvent(sym, n):
+    d = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+    s = WignerSample(np.diag(d).astype(np.complex128 if sym == HERMITIAN else np.float64))
+    pts = [SpectralPoint(0.3, 0.01), SpectralPoint(-1.0, 1.0)]
+    for z, snap in zip(pts, control_sweep(s, pts)):
+        assert snap.lambda_o == 0.0
+        assert control_params(green_at(s, z), z).lambda_o == 0.0
 
 
 def test_green_at_returns_fresh_array():
