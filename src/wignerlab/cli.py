@@ -19,7 +19,7 @@ import numpy as np
 
 from . import profile as profile_mod
 from .experiments import READS, RUNNERS, Check, ConfigError, ExperimentConfig, profile_from_spec
-from .resolvent import identity_trial
+from .resolvent import IDENTITY_CHECKS, identity_trial
 from .sampler import SYMMETRIC, HERMITIAN, derive_stream, gaussian, sample_matrix
 from .semicircle import classical_locations
 
@@ -95,7 +95,7 @@ def _print_checks(checks: list[Check], quiet: bool) -> int:
     """One [PASS]/[FAIL] line per check unless quiet; the exit code they give."""
     if not quiet:
         for c in checks:
-            print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
+            print(c)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
@@ -150,8 +150,7 @@ def cmd_identities(args) -> int:
         sym = SYMMETRIC if trial % 2 else HERMITIAN
         s = sample_matrix(p, gaussian(), sym, rng)
         worst = np.maximum(worst, identity_trial(s, rng))  # max would drop a NaN residual
-    names = ["inverse", "offdiag", "diag_minor", "offdiag_minor", "ward"]
-    return _print_checks([Check(f"identity_{k}", v, hi=1e-9) for k, v in zip(names, worst)], args.quiet)
+    return _print_checks([Check(k, v, hi=1e-9) for k, v in zip(IDENTITY_CHECKS, worst)], args.quiet)
 
 
 def make_parser() -> _Parser:

@@ -119,6 +119,9 @@ class Check:
             bound = f"[{self.lo:.4g}, {self.hi:.4g}]"
         return f"{self.value:.4g}, bound {bound}, margin {self.margin:.4g}"
 
+    def __str__(self) -> str:
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
+
 
 @dataclass
 class ExperimentReport:
@@ -214,9 +217,9 @@ def median(xs) -> float:
     return nearest_rank_quantile(xs, 0.5)
 
 
-def ks_two_sample(a, b) -> tuple[float, float, float]:
+def ks_two_sample(a, b, alpha: float = 0.01) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and its asymptotic critical
-    values at 5% and 1%: c(alpha) * sqrt((m+n)/(m n))."""
+    value at level alpha: c(alpha) * sqrt((m+n)/(m n))."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
@@ -226,8 +229,7 @@ def ks_two_sample(a, b) -> tuple[float, float, float]:
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     stat = float(np.max(np.abs(cdf_a - cdf_b)))
     scale = math.sqrt((a.size + b.size) / (a.size * b.size))
-    crit = lambda alpha: math.sqrt(-math.log(alpha / 2.0) / 2.0) * scale
-    return stat, crit(0.05), crit(0.01)
+    return stat, math.sqrt(-math.log(alpha / 2.0) / 2.0) * scale
 
 
 def slope_fit(xs, ys) -> tuple[float, float, float]:
@@ -412,18 +414,14 @@ def run_edge(cfg: ExperimentConfig) -> ExperimentReport:
     fluct = lambda s: edge_fluctuations(s.eigenvalues(), top_k)
     xa = np.array(monte_carlo(cfg, n, fluct))
     xb = np.array(monte_carlo(cfg_b, n, fluct))
-    stat, c5, c1 = ks_two_sample(xa[:, 0], xb[:, 0])
-    stat_min, _, _ = ks_two_sample(xa[:, -1], xb[:, -1])
-    crit = c1 if calib["edge_alpha"] <= 0.01 else c5
+    stat, crit = ks_two_sample(xa[:, 0], xb[:, 0], calib["edge_alpha"])
+    stat_min, _ = ks_two_sample(xa[:, -1], xb[:, -1])
     columns = ["ensemble", "sample_index"] + [f"top_{k+1}" for k in range(top_k)] + ["bottom"]
     rows = []
     for tag, arr in (("a", xa), ("b", xb)):
         for i, vec in enumerate(arr):
             rows.append((tag, i, *[float(v) for v in vec]))
-    fits = {
-        "ks_top": stat, "ks_bottom": stat_min,
-        "critical_5pct": c5, "critical_1pct": c1,
-    }
+    fits = {"ks_top": stat, "ks_bottom": stat_min, "critical": crit}
     return ExperimentReport("edge", asdict(cfg), columns, rows, fits, [Check("edge_ks", stat, hi=crit)])
 
 
@@ -503,7 +501,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
 
         results = _map_indexed(one, cfg.samples_per_n, cfg.threads)
         pooled = np.concatenate([r[0] for r in results])
-        ks, _, _ = ks_two_sample(pooled, reference)
+        ks, _ = ks_two_sample(pooled, reference)
         target = 1.0 - math.exp(-t)
         m = len(results)
         n_off = n * (n - 1) / 2

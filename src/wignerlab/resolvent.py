@@ -218,9 +218,15 @@ def identity_residuals(
     return float(r1), float(r2), float(r3), float(r4)
 
 
+# the check names of identity_trial's five residuals, in its order
+IDENTITY_CHECKS = ("identity_inverse", "identity_offdiag", "identity_diag_minor",
+                   "identity_offdiag_minor", "identity_ward")
+
+
 def identity_trial(s: WignerSample, rng: np.random.Generator) -> tuple[float, ...]:
     """The four identity_residuals and the ward_residual of s at a random z
-    (|E| <= 3, 1e-2 <= eta <= 10), minor t and distinct i, j, k outside t."""
+    (|E| <= 3, 1e-2 <= eta <= 10), minor t and distinct i, j, k outside t;
+    IDENTITY_CHECKS names them."""
     n = s.n
     z = SpectralPoint(float(rng.uniform(-3, 3)), float(10 ** rng.uniform(-2, 1)))
     tsize = int(rng.integers(0, max(1, n - 4)))

@@ -1,7 +1,10 @@
 """End-to-end acceptance suite.
 
-Each test covers one release criterion at its stated size and tolerance and
-prints a single PASS/FAIL line (visible with pytest -s or on failure).
+Each test covers one release criterion at its stated size and prints one
+`[PASS]`/`[FAIL]` line per check, with its margin, through the printer the
+CLI uses (visible with pytest -s or on failure). Criteria 3-8 assert every
+check of their runners' reports, so their bounds live in calibration.json
+alone; criteria 1, 2 and 9 have no runner and state their own checks.
 Heavy Monte Carlo fixtures are module-scoped and shared between criteria.
 Every test carries the ``acceptance`` marker: ``pytest -m "not acceptance"``
 runs the unit tests alone.
@@ -14,8 +17,8 @@ import numpy as np
 import pytest
 
 from wignerlab.experiments import (
+    Check,
     ExperimentConfig,
-    load_calibration,
     run_counting,
     run_dbm_relax,
     run_edge,
@@ -23,18 +26,22 @@ from wignerlab.experiments import (
     run_rigidity,
 )
 from wignerlab.profile import flat_profile
-from wignerlab.resolvent import identity_trial
+from wignerlab.resolvent import IDENTITY_CHECKS, identity_trial
 from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, gaussian, sample_matrix
 from wignerlab.semicircle import classical_locations, m_sc, n_sc
 
 pytestmark = pytest.mark.acceptance
 
-CALIB = load_calibration()
 
-
-def verdict(name: str, passed: bool, detail: str) -> bool:
-    print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-    return passed
+def assert_checks(checks, *prefixes):
+    """Print each check whose name starts with one of prefixes (every check
+    when none is given) and assert that all of them passed. Matching none
+    fails, so a renamed check cannot pass unseen."""
+    chosen = [c for c in checks if c.name.startswith(prefixes or ("",))]
+    assert chosen, f"no check named {prefixes} among {[c.name for c in checks]}"
+    for c in chosen:
+        print(c)
+    assert all(c.passed for c in chosen)
 
 
 # criterion 1 -----------------------------------------------------------------
@@ -43,20 +50,15 @@ def verdict(name: str, passed: bool, detail: str) -> bool:
 def test_criterion_1_identity_suite():
     t0 = time.time()
     rng = np.random.default_rng(20240901)
-    worst = 0.0
+    worst = np.zeros(len(IDENTITY_CHECKS))
     for trial in range(200):
         n = int(rng.integers(5, 21))
         sym = SYMMETRIC if trial % 2 else HERMITIAN
         s = sample_matrix(flat_profile(n), gaussian(), sym, derive_stream(20240901, trial))
         # np.maximum keeps a NaN residual; Python's max would drop it
-        worst = np.maximum(worst, np.max(identity_trial(s, rng)))
-    elapsed = time.time() - t0
-    ok = worst <= 1e-9 and elapsed < 30.0
-    assert verdict(
-        "criterion-1 identity suite",
-        ok,
-        f"max relative residual {worst:.3e} (tol 1e-9), {elapsed:.1f}s (< 30s)",
-    )
+        worst = np.maximum(worst, identity_trial(s, rng))
+    checks = [Check(k, v, hi=1e-9) for k, v in zip(IDENTITY_CHECKS, worst)]
+    assert_checks(checks + [Check("identity_seconds", time.time() - t0, hi=30.0)])
 
 
 # criterion 2 -----------------------------------------------------------------
@@ -71,26 +73,19 @@ def test_criterion_2_semicircle_analytics():
     for _ in range(10**4):
         z = complex(rng.uniform(-5, 5), rng.uniform(eta_lo * 1.01, 10.0))
         m = m_sc(z)
-        worst_res = max(worst_res, abs(m + 1.0 / (z + m)))
-        worst_mod = max(worst_mod, abs(m))
+        # np.maximum and np.max keep a NaN; Python's max would drop it
+        worst_res = np.maximum(worst_res, abs(m + 1.0 / (z + m)))
+        worst_mod = np.maximum(worst_mod, abs(m))
     gamma = classical_locations(n)
-    worst_gamma = max(abs(n_sc(g) - (j + 1) / n) for j, g in enumerate(gamma))
-    worst_sym = float(np.max(np.abs(gamma[: n - 1] + gamma[: n - 1][::-1])))
-    elapsed = time.time() - t0
-    ok = (
-        worst_res <= 1e-12
-        and worst_mod <= 1.0 + 1e-14
-        and worst_gamma <= 1e-10
-        and worst_sym <= 1e-10
-        and elapsed < 5.0
-    )
-    assert verdict(
-        "criterion-2 semicircle analytics",
-        ok,
-        f"defining residual {worst_res:.2e} (tol 1e-12), |m| max {worst_mod:.15f}, "
-        f"gamma residual {worst_gamma:.2e} (tol 1e-10), symmetry {worst_sym:.2e}, "
-        f"{elapsed:.1f}s (< 5s)",
-    )
+    worst_gamma = np.max([abs(n_sc(g) - (j + 1) / n) for j, g in enumerate(gamma)])
+    worst_sym = np.max(np.abs(gamma[: n - 1] + gamma[: n - 1][::-1]))
+    assert_checks([
+        Check("semicircle_residual", worst_res, hi=1e-12),
+        Check("semicircle_abs_m", worst_mod, hi=1.0 + 1e-14),
+        Check("gamma_residual", worst_gamma, hi=1e-10),
+        Check("gamma_symmetry", worst_sym, hi=1e-10),
+        Check("semicircle_seconds", time.time() - t0, hi=5.0),
+    ])
 
 
 # criteria 3 + 4 --------------------------------------------------------------
@@ -105,49 +100,21 @@ def lsc_report():
 
 
 def test_criterion_3_local_law_scaling(lsc_report):
-    slope = lsc_report.fits["slope_n512_e0.0"]
-    lo, hi = CALIB["lsc_slope_band"]
-    assert verdict(
-        "criterion-3 local-law scaling",
-        lo <= slope <= hi,
-        f"OLS slope of log median deviation vs log(N*eta) = {slope:.4f}, band [{lo}, {hi}]",
-    )
+    assert_checks(lsc_report.checks, "lsc_slope_", "lsc_envelope_")
 
 
 def test_criterion_4_offdiagonal_law(lsc_report):
-    worst = max(r[8] for r in lsc_report.rows)
-    envelope = math.log(512) ** CALIB["polylog_exponent"]
-    assert verdict(
-        "criterion-4 off-diagonal law",
-        worst <= envelope,
-        f"max median off-diagonal ratio {worst:.3f} <= (log N)^2 = {envelope:.3f}",
-    )
+    assert_checks(lsc_report.checks, "lsc_offdiag_")
 
 
 # criterion 5 -----------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def rigidity_report():
+def test_criterion_5_rigidity_slopes():
     cfg = ExperimentConfig(
         n_list=[256, 512, 1024, 2048], samples_per_n=100, master_seed=20240901
     )
-    return run_rigidity(cfg)
-
-
-def test_criterion_5_rigidity_slopes(rigidity_report):
-    rep = rigidity_report
-    edge = rep.fits["edge_slope"]
-    center = rep.fits["center_slope"]
-    edge_ok = abs(edge - (-2.0 / 3.0)) <= 0.1
-    center_ok = abs(center - (-1.0)) <= 0.15
-    scaled_ok = all(c.passed for c in rep.checks if c.name.startswith("rigidity_scaled"))
-    assert verdict(
-        "criterion-5 rigidity slopes",
-        edge_ok and center_ok and scaled_ok,
-        f"edge slope {edge:.4f} (-2/3 +- 0.1), center slope {center:.4f} (-1 +- 0.15), "
-        f"scaled statistic within (log N)^2 at every N: {scaled_ok}",
-    )
+    assert_checks(run_rigidity(cfg).checks)
 
 
 # criterion 6 -----------------------------------------------------------------
@@ -155,14 +122,7 @@ def test_criterion_5_rigidity_slopes(rigidity_report):
 
 def test_criterion_6_counting_function():
     cfg = ExperimentConfig(n_list=[256, 1024], samples_per_n=100, master_seed=20240901)
-    rep = run_counting(cfg)
-    ok = all(c.passed for c in rep.checks)
-    ratios = {r[0]: r[4] for r in rep.rows}
-    assert verdict(
-        "criterion-6 counting function",
-        ok,
-        f"median N*sup / (log N)^2 per N: {ratios}",
-    )
+    assert_checks(run_counting(cfg).checks)
 
 
 # criterion 7 -----------------------------------------------------------------
@@ -173,49 +133,27 @@ def test_criterion_7_edge_universality():
         n_list=[1024], samples_per_n=400, master_seed=20240901,
         distribution="gaussian", distribution_b="rademacher",
     )
-    rep = run_edge(cfg)
-    ks = rep.fits["ks_top"]
-    crit1 = rep.fits["critical_1pct"]
+    assert_checks(run_edge(cfg).checks)
     neg_cfg = ExperimentConfig(
         n_list=[1024], samples_per_n=100, master_seed=20240901,
         distribution="gaussian",
         distribution_b=f"gaussian:scale={math.sqrt(2.0)!r}",
         allow_moment_mismatch=True,
     )
-    neg = run_edge(neg_cfg)
-    neg_ok = neg.fits["ks_top"] > neg.fits["critical_5pct"]
-    ok = ks < crit1 and neg_ok
-    assert verdict(
-        "criterion-7 edge universality",
-        ok,
-        f"matched KS {ks:.4f} < 1% critical {crit1:.4f}; negative control KS "
-        f"{neg.fits['ks_top']:.4f} > 5% critical {neg.fits['critical_5pct']:.4f}",
-    )
+    # the negative control: entry variances 1 and 2 must tell their edges apart
+    (neg,) = run_edge(neg_cfg).checks
+    print(f"{neg} (negative control, must fail)")
+    assert neg.name == "edge_ks" and not neg.passed
 
 
 # criterion 8 -----------------------------------------------------------------
 
 
 def test_criterion_8_dbm_relaxation():
-    n = 512
     cfg = ExperimentConfig(
-        n_list=[n], samples_per_n=100, reference_samples=100, master_seed=20240901,
+        n_list=[512], samples_per_n=100, reference_samples=100, master_seed=20240901,
     )
-    rep = run_dbm_relax(cfg)
-    # the runner's flow times 0, 0.5/N, 2/N, 8/N and 4, from its t column
-    ks = {t: rep.fits[f"ks_t{t}"] for t, *_ in rep.rows}
-    far_ok = ks[0.0] >= 5.0 * ks[4.0]
-    fast_ok = ks[8.0 / n] <= 2.0 * ks[4.0]
-    var_ok = all(
-        c.passed for c in rep.checks if c.name.startswith("variance_interp")
-    )
-    assert verdict(
-        "criterion-8 DBM relaxation",
-        far_ok and fast_ok and var_ok,
-        f"KS(0)={ks[0.0]:.4f} >= 5*KS(4)={5 * ks[4.0]:.4f}; "
-        f"KS(8/N)={ks[8.0 / n]:.4f} <= 2*KS(4)={2 * ks[4.0]:.4f}; "
-        f"variance interpolation within 4 SE at every t: {var_ok}",
-    )
+    assert_checks(run_dbm_relax(cfg).checks)
 
 
 # criterion 9 -----------------------------------------------------------------
@@ -232,9 +170,6 @@ def test_criterion_9_determinism(tmp_path):
         rep.write_csv(path)
         payloads.append(path.read_bytes())
         hashes.append(rep.content_hash())
-    ok = payloads[0] == payloads[1] and hashes[0] == hashes[1]
-    assert verdict(
-        "criterion-9 determinism",
-        ok,
-        "byte-identical CSV and equal content hash across --threads 1 and 4",
-    )
+    # the CSV and the content hash across --threads 1 and 4
+    mismatched = (payloads[0] != payloads[1]) + (hashes[0] != hashes[1])
+    assert_checks([Check("determinism_mismatches", mismatched, hi=0)])

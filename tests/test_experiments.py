@@ -40,26 +40,25 @@ from wignerlab.semicircle import classical_locations, n_sc
 
 
 def test_ks_identical():
-    stat, _, _ = ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    stat, _ = ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     assert stat == 0.0
 
 
 def test_ks_disjoint():
-    stat, _, _ = ks_two_sample([0.0, 1.0], [5.0, 6.0])
+    stat, _ = ks_two_sample([0.0, 1.0], [5.0, 6.0])
     assert stat == 1.0
 
 
 def test_ks_half():
-    stat, _, _ = ks_two_sample([0.0], [0.0, 1.0])
+    stat, _ = ks_two_sample([0.0], [0.0, 1.0])
     assert stat == 0.5
 
 
-def test_ks_critical_values():
-    _, c5, c1 = ks_two_sample(np.zeros(100), np.zeros(100))
+@pytest.mark.parametrize("alpha", [0.05, 0.01, 0.001])
+def test_ks_critical_values(alpha):
+    _, crit = ks_two_sample(np.zeros(100), np.zeros(100), alpha)
     scale = math.sqrt(200 / (100 * 100))
-    assert c5 == pytest.approx(math.sqrt(-math.log(0.025) / 2) * scale, rel=1e-12)
-    assert c1 == pytest.approx(math.sqrt(-math.log(0.005) / 2) * scale, rel=1e-12)
-    assert c1 > c5
+    assert crit == pytest.approx(math.sqrt(-math.log(alpha / 2) / 2) * scale, rel=1e-12)
 
 
 def test_ks_empty_rejected():
@@ -191,6 +190,19 @@ def test_edge_rejects_one_percent_rescaled_law():
     assert len(run_edge(cfg).rows) == 4
 
 
+def test_edge_tests_at_the_calibrated_level(monkeypatch):
+    # a level that is neither 1% nor 5% must reach the critical value exactly
+    calib = load_calibration() | {"edge_alpha": 0.001}
+    monkeypatch.setattr(experiments, "load_calibration", lambda: calib)
+    cfg = ExperimentConfig(n_list=[32], samples_per_n=6,
+                           distribution="gaussian", distribution_b="rademacher")
+    (check,) = run_edge(cfg).checks
+    m = n = cfg.samples_per_n
+    c = math.sqrt(-math.log(0.001 / 2) / 2)
+    assert check.name == "edge_ks"
+    assert check.hi == pytest.approx(c * math.sqrt((m + n) / (m * n)), rel=1e-12)
+
+
 @pytest.mark.parametrize("law, frac", [("gaussian", 0.0), ("gaussian:scale=4", 1.0)])
 def test_extreme_flags_a_rescaled_law(law, frac):
     # at N = 64 the threshold is 2 + c N^-2/3 (log N)^1.5 = 7.30 (c = 10); a
@@ -302,6 +314,9 @@ def test_check_margin_and_verdict(value, bounds, passed, margin):
     assert c.margin == pytest.approx(margin, nan_ok=True)
     assert f"margin {c.margin:.4g}" in c.detail
     assert "inf" not in c.detail
+    # the one line the CLI and the acceptance suite print
+    assert str(c) == f"[{'PASS' if passed else 'FAIL'}] x: {c.detail}"
+    assert str(c).endswith(f"margin {margin:.4g}")
 
 
 @pytest.mark.parametrize("nan_at", [0, 1], ids=["offdiag-z", "diag-z"])
