@@ -19,7 +19,7 @@ import numpy as np
 
 from . import profile as profile_mod
 from .experiments import READS, RUNNERS, Check, ConfigError, ExperimentConfig, profile_from_spec
-from .resolvent import IDENTITY_CHECKS, identity_trial
+from .resolvent import IDENTITY_CHECKS, IDENTITY_TOL, identity_trial
 from .sampler import SYMMETRIC, HERMITIAN, derive_stream, gaussian, sample_matrix
 from .semicircle import classical_locations
 
@@ -37,9 +37,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config(path: str) -> dict:
-    """Flat key=value file, each key set once; '#' starts a comment."""
+    """Flat UTF-8 key=value file, each key set once; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -150,7 +154,7 @@ def cmd_identities(args) -> int:
         sym = SYMMETRIC if trial % 2 else HERMITIAN
         s = sample_matrix(p, gaussian(), sym, rng)
         worst = np.maximum(worst, identity_trial(s, rng))  # max would drop a NaN residual
-    return _print_checks([Check(k, v, hi=1e-9) for k, v in zip(IDENTITY_CHECKS, worst)], args.quiet)
+    return _print_checks([Check(k, v, hi=IDENTITY_TOL) for k, v in zip(IDENTITY_CHECKS, worst)], args.quiet)
 
 
 def make_parser() -> _Parser:

@@ -122,6 +122,12 @@ class Check:
     def __str__(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
+    def summary(self) -> dict:
+        """The report JSON's record; JSON has no infinity, so an absent bound is null."""
+        lo, hi = (None if math.isinf(b) else float(b) for b in (self.lo, self.hi))
+        return {"name": self.name, "passed": self.passed, "detail": self.detail,
+                "margin": self.margin, "value": float(self.value), "lo": lo, "hi": hi}
+
 
 @dataclass
 class ExperimentReport:
@@ -151,8 +157,7 @@ class ExperimentReport:
             "experiment": self.name,
             "config": self.config,
             "fits": self.fits,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail, "margin": c.margin}
-                       for c in self.checks],
+            "checks": [c.summary() for c in self.checks],
             "passed": self.passed,
             "content_hash": self.content_hash(),
         }

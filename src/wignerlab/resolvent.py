@@ -218,9 +218,11 @@ def identity_residuals(
     return float(r1), float(r2), float(r3), float(r4)
 
 
-# the check names of identity_trial's five residuals, in its order
+# the check names of identity_trial's five residuals, in its order, and the
+# bound each residual must stay under
 IDENTITY_CHECKS = ("identity_inverse", "identity_offdiag", "identity_diag_minor",
                    "identity_offdiag_minor", "identity_ward")
+IDENTITY_TOL = 1e-9
 
 
 def identity_trial(s: WignerSample, rng: np.random.Generator) -> tuple[float, ...]:

@@ -26,8 +26,7 @@ class DistributionError(ValueError):
 
 
 # rademacher and two_point draw through a temporary (integers() has no out=),
-# so they fill their output this many leading entries at a time; a Hermitian
-# sample's scratch batch holds a quarter as many entries
+# so they fill their output this many leading entries at a time
 DRAW_CHUNK = 1 << 16
 
 
@@ -244,47 +243,33 @@ def sample_matrix(
 ) -> WignerSample:
     """Draw one matrix with E h_ij = 0 and E |h_ij|^2 = sigma2_ij * scale^2.
 
-    Draw order: the strict upper triangle in row-major order (for Hermitian
-    matrices all real parts, then all imaginary parts), then the diagonal.
+    Draw order: the strict upper triangle in row-major order (a Hermitian
+    entry is its real part, then its imaginary part), then the diagonal, so
+    a sample reads m + n values of its stream, or 2m + n if Hermitian.
     """
     n = p.n
     m = n * (n - 1) // 2
-    # the real draws fill the last m float slots of h itself; row i's target
-    # h[i, i+1:] ends before its own draws and every later row's (real h: at
-    # slot n(i+1) <= n^2 - (n-1-i)(n-i)/2; complex h: at float slot
-    # 2n(i+1) <= 2n^2 - (n-1-i)(n-i)/2), so no row overwrites draws still unread
     if symmetry == SYMMETRIC:
-        h = np.empty((n, n))
-        upper = d.draw(stream, out=h.reshape(-1)[n * n - m :])
+        h, var = np.empty((n, n)), p.c
     elif symmetry == HERMITIAN:
-        h = np.empty((n, n), dtype=complex)
-        upper = d.draw(stream, out=h.reshape(-1).view(float)[2 * n * n - m :])
-        # the imaginary parts (drawn after all real parts) and the complex
-        # entries go through scratch one batch of whole rows at a time: at
-        # most DRAW_CHUNK / 4 entries of 24 bytes, or one row
-        rows = max(1, DRAW_CHUNK // 4 // (n - 1))
-        imag, entries = np.empty(rows * (n - 1)), np.empty(rows * (n - 1), dtype=complex)
+        # independent real and imaginary parts, each of variance sigma2/2
+        h, var = np.empty((n, n), dtype=complex), p.c / 2.0
     else:
         raise ValueError(f"unknown symmetry class {symmetry!r}")
-    root = np.sqrt(p.c)
-    # sqrt(sigma2[i, i+1:]) is root[n-1], root[n-2], ..., root[i+1]
-    reverse = root[::-1]
-    src, base = upper, 0  # row i's k entries are src[o - base : o - base + k]
+    # the draws fill the last m entries of h itself; row i's target
+    # h[i, i+1:] ends at entry n(i+1) <= n^2 - (n-1-i)(n-i)/2, before its own
+    # draws and every later row's, so no row overwrites draws still unread
+    upper = h.reshape(-1)[n * n - m :]
+    d.draw(stream, out=upper.view(float))
+    # the scales sqrt(var[i, i+1:]) are reverse[:n-1-i]
+    reverse = np.sqrt(var)[::-1]
     o = 0
     for i in range(n - 1):
         k = n - 1 - i
-        if symmetry == HERMITIAN and i % rows == 0:
-            # independent real/imaginary parts, each of variance sigma2/2:
-            # the bits of (re + 1j * im) / sqrt(2) for every draw but -0.0
-            j = min(i + rows, n - 1)
-            src, base = entries[: (j - i) * (2 * n - 1 - i - j) // 2], o
-            src.real = upper[o : o + src.size]
-            src.imag = d.draw(stream, out=imag[: src.size])
-            src /= math.sqrt(2.0)
-        np.multiply(src[o - base : o - base + k], reverse[:k], out=h[i, i + 1 :])
+        np.multiply(upper[o : o + k], reverse[:k], out=h[i, i + 1 :])
         o += k
     _mirror_upper(h)
-    np.fill_diagonal(h, d.draw(stream, n) * root[0])
+    np.fill_diagonal(h, d.draw(stream, n) * np.sqrt(p.c[0]))
     return WignerSample(h=h)
 
 

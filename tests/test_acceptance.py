@@ -26,7 +26,7 @@ from wignerlab.experiments import (
     run_rigidity,
 )
 from wignerlab.profile import flat_profile
-from wignerlab.resolvent import IDENTITY_CHECKS, identity_trial
+from wignerlab.resolvent import IDENTITY_CHECKS, IDENTITY_TOL, identity_trial
 from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, gaussian, sample_matrix
 from wignerlab.semicircle import classical_locations, m_sc, n_sc
 
@@ -57,7 +57,7 @@ def test_criterion_1_identity_suite():
         s = sample_matrix(flat_profile(n), gaussian(), sym, derive_stream(20240901, trial))
         # np.maximum keeps a NaN residual; Python's max would drop it
         worst = np.maximum(worst, identity_trial(s, rng))
-    checks = [Check(k, v, hi=1e-9) for k, v in zip(IDENTITY_CHECKS, worst)]
+    checks = [Check(k, v, hi=IDENTITY_TOL) for k, v in zip(IDENTITY_CHECKS, worst)]
     assert_checks(checks + [Check("identity_seconds", time.time() - t0, hi=30.0)])
 
 

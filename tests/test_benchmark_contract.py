@@ -49,13 +49,23 @@ def test_tracer_wraps_map_and_runners():
         assert inspect.isfunction(fn) and fn.__module__ == "wignerlab.experiments", name
 
 
-def test_workload_config_keys_are_read():
-    """A key the runner does not read makes every benchmark process exit 64."""
+def test_workload_config_keys_are_read(tmp_path):
+    """A key the runner does not read, or a value its config rejects, makes
+    every benchmark process exit 64. Each workload's full and smoke config
+    is written as `run.py` writes it and built as the CLI builds it, at the
+    benchmark's two seeds."""
     run = _load("run")
+    path = tmp_path / "config.txt"
     for name, wl in run.WORKLOADS.items():
         for part in (wl.config, wl.smoke):
             unread = set(part) - experiments.READS[wl.command]
             assert not unread, (name, sorted(unread))
+        for cfg in (wl.config, {**wl.config, **wl.smoke}):
+            for seed in (20240901, 20240902):
+                path.write_text(run.config_text(cfg) + f"master_seed = {seed}\n")
+                args = cli.make_parser().parse_args([wl.command, "--config", str(path)])
+                built = cli.build_config(cli.read_config(args.config), args)
+                assert built.master_seed == seed and built.n_list == cfg["n_list"], name
 
 
 def test_per_layer_metrics_name_existing_spans():

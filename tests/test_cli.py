@@ -17,6 +17,7 @@ from wignerlab.cli import (
     read_config,
 )
 from wignerlab.experiments import ConfigError
+from wignerlab.resolvent import IDENTITY_CHECKS, IDENTITY_TOL
 
 
 def test_help_exits_zero(capsys):
@@ -53,8 +54,10 @@ def test_unknown_flag_usage_error():
 def test_identities_pass(capsys):
     code = main(["identities", "--n", "8", "--samples", "10", "--seed", "7"])
     assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(IDENTITY_CHECKS) == 5
+    for name, line in zip(IDENTITY_CHECKS, lines):
+        assert line.startswith(f"[PASS] {name}: ") and f"bound <= {IDENTITY_TOL:.4g}," in line
 
 
 def test_failing_check_prints_and_records_its_margin(tmp_path, capsys):
@@ -70,6 +73,9 @@ def test_failing_check_prints_and_records_its_margin(tmp_path, capsys):
     summary = json.loads((out / "extreme.json").read_text())
     (check,) = summary["checks"]
     assert check["name"] == "extreme_n64" and check["passed"] is False and check["margin"] < 0
+    # the bounds the margin is measured from; JSON has no infinity, so an absent one is null
+    assert check["lo"] is None and check["hi"] == 0.0
+    assert check["value"] > 0 and check["margin"] == check["hi"] - check["value"]
     assert summary["passed"] is False
 
 
@@ -119,9 +125,15 @@ def test_cli_runs_without_scipy(tmp_path):
     "identities --samples 0",
     "identities --seed -1",
     "rigidity --n 64,64,64 --samples 2",  # the --n flag is sorted, then checked
+    # a config file that cannot be read
+    "counting --config missing.conf",
+    "counting --config dir.conf",
+    "counting --config latin1.conf",
 ])
 def test_utility_bad_input_is_config_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir.conf").mkdir()
+    (tmp_path / "latin1.conf").write_bytes("samples_per_n = 2  # Größe\n".encode("latin-1"))
     assert main(argv.split()) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -23,18 +23,18 @@ GOLDEN = {
     "rigidity": (
         dict(n_list=[24, 32, 48], samples_per_n=3, profile="band:w=6",
              symmetry="hermitian", distribution="uniform", master_seed=12),
-        "4cc2a6f153930c8e6702228704398dd4dc029d43ee144f976bacb74f58ff846e",
+        "ae01486d6f44e0da871e046fdce39b2115ca44abf5b02132d102497f78775908",
     ),
     "counting": (
         dict(n_list=[33, 64], samples_per_n=3, symmetry="hermitian",
              distribution="two_point:0.3", master_seed=13),
-        "10be7f9c31d910352ac810ce8561e4ba604cba4af465f3faf2ebd2ceed2b949a",
+        "ef19278f9eef08099b89c4d90f2b490abb02a91d55ac1f1e25f38914fa4c002b",
     ),
     "edge": (
         dict(n_list=[65], samples_per_n=6, profile="band:w=16",
              symmetry="hermitian", distribution="gaussian",
              distribution_b="rademacher", master_seed=14, threads=2),
-        "d14c2c69bce574946a974868bb6164d3b246ce28364e9ea78130511a4defa4c8",
+        "e0fc405a0e5efb0040ccb08da55cb020ade56dd4e74c5f68cd7150c2f62abbf3",
     ),
     "extreme": (
         dict(n_list=[64, 130], samples_per_n=3, distribution="rademacher",
@@ -68,5 +68,5 @@ def test_dbm_relax_hermitian_csv_hash(tmp_path):
     path = tmp_path / "dbm-relax-hermitian.csv"
     RUNNERS["dbm-relax"](cfg).write_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "b0df405ec0dde940e3f05af605f418c0c3b9c614146f45c0c85de10a2c5dd4d2"
+        "217130d29f0834332749cfeae010b2760afeeb1f87da224c38dc8739253aa425"
     )

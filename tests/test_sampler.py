@@ -173,10 +173,10 @@ def _reference_matrix(p, d, symmetry, stream):
         h[iu] = d.draw(stream, iu[0].size) * sigma[iu]
         h = h + h.T
     else:
-        re = d.draw(stream, iu[0].size)
-        im = d.draw(stream, iu[0].size)
+        # each entry's real part, then its imaginary part, of variance sigma2/2 each
+        z = d.draw(stream, 2 * iu[0].size).view(complex)
         h = np.zeros((n, n), dtype=complex)
-        h[iu] = (re + 1j * im) / math.sqrt(2.0) * sigma[iu]
+        h[iu] = z * np.sqrt(p.sigma2 / 2.0)[iu]
         h = h + h.conj().T
     np.fill_diagonal(h, d.draw(stream, n) * np.diag(sigma))
     return h
@@ -211,25 +211,16 @@ _PROFILES = {
 def test_sample_matrix_matches_full_matrix_formulation(kind, symmetry, n):
     p = _PROFILES[kind](n)
     for k, law in enumerate(_LAWS):
-        got = sample_matrix(p, law, symmetry, derive_stream(n, k)).h
-        want = _reference_matrix(p, law, symmetry, derive_stream(n, k))
+        got_rng, want_rng = derive_stream(n, k), derive_stream(n, k)
+        got = sample_matrix(p, law, symmetry, got_rng).h
+        want = _reference_matrix(p, law, symmetry, want_rng)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
         # array_equal counts -0.0 == 0.0; the bytes must agree too, since the
         # sign of a zero can steer LAPACK's Householder reflections
         assert got.tobytes() == want.tobytes()
-
-
-# Hermitian scratch batches of one row, two rows, and seven rows with a short
-# last batch; at the default size one row fills a batch only when N > 16385
-@pytest.mark.parametrize("chunk", [4, 1200, 4000])
-def test_hermitian_batches_match_full_matrix_formulation(chunk, monkeypatch):
-    monkeypatch.setattr(sampler, "DRAW_CHUNK", chunk)
-    p = _band(130)
-    for k, law in enumerate(_LAWS):
-        got = sample_matrix(p, law, HERMITIAN, derive_stream(130, k)).h
-        want = _reference_matrix(p, law, HERMITIAN, derive_stream(130, k))
-        assert got.tobytes() == want.tobytes()
+        # the sample read exactly its m + n (Hermitian: 2m + n) values
+        assert got_rng.standard_normal(7).tobytes() == want_rng.standard_normal(7).tobytes()
 
 
 @pytest.mark.parametrize("method", ["eigenvalues", "eigen_pair"])
@@ -310,10 +301,9 @@ _ALLOC_LAWS = [gaussian(), uniform(), rademacher(), two_point(0.3)]
     *(pytest.param(HERMITIAN, law, id=f"hermitian-law{k}") for k, law in enumerate(_ALLOC_LAWS)),
 ])
 def test_symmetric_sample_allocates_one_matrix(symmetry, law):
-    # draws go straight into h: one buffer at N = 1024 (8 MiB real, 16 MiB
-    # complex), not the packed draws and their scaled copy besides;
-    # rademacher and two_point add one chunk's temporaries, a Hermitian
-    # sample one scratch batch of whole rows (<= 384 KiB)
+    # draws go straight into h, for both classes: one buffer at N = 1024
+    # (8 MiB real, 16 MiB complex), not the packed draws and their scaled
+    # copy besides; rademacher and two_point add one chunk's temporaries
     n = 1024
     p = flat_profile(n)
     sample_matrix(flat_profile(8), law, symmetry, derive_stream(0, 0))  # warm-up imports
