@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .profile import flat_profile
-from .sampler import gaussian, sample_matrix
+from .sampler import HERMITIAN, SYMMETRIC, eigvalsh_tridiagonal, gaussian, sample_matrix
 from .semicircle import rho_sc
 
 
@@ -76,16 +76,24 @@ def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> np.ndarra
     return np.diff(lam) * n * rho_sc(lam[:-1])
 
 
+def gaussian_ensemble_spectrum(n: int, symmetry: str, stream: np.random.Generator) -> np.ndarray:
+    """Ascending eigenvalues of one GOE (symmetric) or GUE (hermitian) matrix with
+    off-diagonal variance 1/n, from the beta-Hermite tridiagonal model (beta = 1, 2),
+    whose spectrum has exactly that law (Dumitriu and Edelman, J. Math. Phys. 43
+    (2002) 5830): d_i = sqrt(2/(beta n)) g_i, e_k = sqrt(chi^2_{beta(n-k)}/(beta n)).
+    Draw order: the n normals g_i, then the n - 1 chi-square values, k = 1..n-1."""
+    beta = {SYMMETRIC: 1, HERMITIAN: 2}.get(symmetry)
+    if beta is None:
+        raise ValueError(f"unknown symmetry class {symmetry!r}")
+    d = stream.standard_normal(n) * math.sqrt(2.0 / (beta * n))
+    e = np.sqrt(stream.chisquare(beta * np.arange(n - 1, 0, -1)) / (beta * n))
+    return eigvalsh_tridiagonal(d, e)
+
+
 def equilibrium_gap_reference(
-    n: int,
-    symmetry: str,
-    samples: int,
-    stream: np.random.Generator,
+    n: int, symmetry: str, samples: int, stream: np.random.Generator
 ) -> np.ndarray:
-    """Pooled unfolded GAP_WINDOW gaps of independent flat Gaussian matrices."""
-    pools = []
-    p = flat_profile(n)
-    for _ in range(samples):
-        s = sample_matrix(p, gaussian(), symmetry, stream)
-        pools.append(gap_distribution(s.eigenvalues(), GAP_WINDOW))
-    return np.concatenate(pools)
+    """Pooled unfolded GAP_WINDOW gaps of ``samples`` GOE/GUE spectra from
+    ``gaussian_ensemble_spectrum``, drawn in turn from the one stream."""
+    spectra = (gaussian_ensemble_spectrum(n, symmetry, stream) for _ in range(samples))
+    return np.concatenate([gap_distribution(w, GAP_WINDOW) for w in spectra])

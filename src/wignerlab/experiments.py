@@ -500,8 +500,9 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             ht = dbm.ou_endpoint(gamma, t, cfg.symmetry, stream)
             off_mean = upper_mean_square(ht) * n
             diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
-            # the factorization overwrites ht, so it comes last
-            gaps = dbm.gap_distribution(WignerSample(h=ht).eigenvalues(), dbm.GAP_WINDOW)
+            # factorizing overwrites ht, so it comes last; diag(gamma) (t = 0) has spectrum gamma
+            eigs = gamma if t == 0.0 else WignerSample(h=ht).eigenvalues()
+            gaps = dbm.gap_distribution(eigs, dbm.GAP_WINDOW)
             return gaps, off_mean, diag_dev
 
         results = _map_indexed(one, cfg.samples_per_n, cfg.threads)

@@ -174,8 +174,8 @@ def _finite(w: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _lapack() -> dict:
-    """numpy's bundled ?syevd/?heevd and the dtypes of their work arrays, by
-    the dtype of h; empty without scipy-openblas. Loaded on first use: dlsym
+    """numpy's bundled ?syevd/?heevd and their work dtypes, by the dtype of h, and
+    dsterf under "sterf"; empty without scipy-openblas. Loaded on first use: dlsym
     on numpy's linalg extension also searches the libraries it links."""
     from numpy.linalg import _umath_linalg
 
@@ -185,6 +185,7 @@ def _lapack() -> dict:
             np.dtype(float): (lib.scipy_dsyevd_64_, (np.float64, np.int64)),
             np.dtype(complex): (lib.scipy_zheevd_64_, (np.complex128, np.float64, np.int64)),
         }
+        sterf = lib.scipy_dsterf_64_
     except (OSError, AttributeError):
         return {}
     i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
@@ -194,7 +195,8 @@ def _lapack() -> dict:
         fn.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr] + [ptr, i64] * len(work) + [
             i64, ctypes.c_size_t, ctypes.c_size_t]
         fn.restype = None
-    return routines
+    sterf.argtypes, sterf.restype = [i64, ptr, ptr, i64], None  # n, d, e, info
+    return {**routines, "sterf": sterf}
 
 
 def eigvalsh_inplace(h: np.ndarray) -> np.ndarray:
@@ -227,6 +229,24 @@ def eigvalsh_inplace(h: np.ndarray) -> np.ndarray:
     if info.value:
         raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACK info {info.value})")
     return w
+
+
+def eigvalsh_tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, written over d by LAPACK's ``dsterf`` in
+    O(n^2) (e is its workspace). It calls no BLAS, so it takes no ``BLAS_LOCK``;
+    without numpy's bundled LAPACK, numpy's ``eigvalsh`` of the dense matrix runs."""
+    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
+        raise ValueError(f"diagonal {d.shape} and off-diagonal {e.shape} do not match")
+    fn = _lapack().get("sterf")
+    if fn is None:
+        return _finite(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
+    d, e, info = np.require(d, float, "CW"), np.require(e, float, "CW"), ctypes.c_int64()
+    fn(ctypes.byref(ctypes.c_int64(d.size)), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
+    _finite(d)  # a non-finite entry also stops the iteration; name it first
+    if info.value:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACK info {info.value})")
+    return d
 
 
 def derive_stream(master_seed: int, sample_index: int) -> np.random.Generator:

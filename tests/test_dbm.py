@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from wignerlab.dbm import (
+    GAP_WINDOW,
     FlowError,
     SampleSizeError,
     _noise,
     equilibrium_gap_reference,
     gap_distribution,
+    gaussian_ensemble_spectrum,
     ou_endpoint,
 )
-from wignerlab.experiments import ExperimentConfig, run_dbm_relax
-from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, eigvalsh_inplace
+from wignerlab.experiments import ExperimentConfig, ks_two_sample, run_dbm_relax
+from wignerlab.sampler import HERMITIAN, SYMMETRIC, WignerSample, derive_stream, eigvalsh_inplace
 from wignerlab.semicircle import classical_locations, rho_sc
 
 
@@ -106,6 +108,18 @@ def test_dbm_relax_holds_one_matrix():
     assert peak <= 2.5 * 8 * n * n
 
 
+def test_dbm_relax_start_row_factorizes_nothing(monkeypatch):
+    # the t = 0 sample is diag(gamma): its gaps are gamma's, K times over,
+    # and only the four later flow times factorize
+    n, k = 130, 3
+    calls = []
+    eigenvalues = WignerSample.eigenvalues
+    monkeypatch.setattr(WignerSample, "eigenvalues", lambda s: calls.append(s.n) or eigenvalues(s))
+    rep = run_dbm_relax(ExperimentConfig(n_list=[n], samples_per_n=k, reference_samples=2))
+    assert rep.rows[0][2] == k * gap_distribution(classical_locations(n), GAP_WINDOW).size
+    assert calls == [n] * 4 * k
+
+
 def test_semigroup_coefficient_identity():
     for s, t in ((0.1, 0.5), (0.02, 1.7)):
         assert math.exp(-s / 2) * math.exp(-(t - s) / 2) == pytest.approx(math.exp(-t / 2), rel=1e-14)
@@ -130,8 +144,47 @@ def test_gap_unfolding_equispaced():
 
 
 def test_gap_mean_near_one_for_goe():
-    gaps = equilibrium_gap_reference(512, SYMMETRIC, 4, derive_stream(10, 0))
-    assert abs(gaps.mean() - 1.0) <= 0.02
+    # and for GUE: the reference draws the symmetric class as GOE, the
+    # Hermitian class as GUE
+    for symmetry in (SYMMETRIC, HERMITIAN):
+        gaps = equilibrium_gap_reference(512, symmetry, 4, derive_stream(10, 0))
+        assert abs(gaps.mean() - 1.0) <= 0.02
+
+
+@pytest.mark.parametrize("beta, symmetry", [(1, SYMMETRIC), (2, HERMITIAN)])
+def test_gaussian_ensemble_second_moment(beta, symmetry):
+    # E (1/n) tr H^2 = (2/beta + n - 1)/n: diagonal variance 2/(beta n) and
+    # off-diagonal variance 1/n; GOE's 1 + 1/n tells it from a flat diagonal
+    n, m = 64, 400
+    stream = derive_stream(11, beta)
+    moments = np.array([np.mean(gaussian_ensemble_spectrum(n, symmetry, stream) ** 2)
+                        for _ in range(m)])
+    se = moments.std(ddof=1) / math.sqrt(m)
+    assert abs(moments.mean() - (1.0 + (2.0 / beta - 1.0) / n)) <= 4 * se
+
+
+def test_gaussian_ensemble_unknown_symmetry():
+    with pytest.raises(ValueError, match="unknown symmetry"):
+        gaussian_ensemble_spectrum(8, "orthogonal", derive_stream(0, 0))
+
+
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+def test_reference_gaps_match_dense_gaussian_ensemble(symmetry):
+    # the tridiagonal model against dense GOE/GUE, (A + A^H)/sqrt(2n) with
+    # E|a_ij|^2 = 1, whose entries have variance 1/n off and 2/(beta n) on the
+    # diagonal
+    n, m = 128, 200
+    stream = derive_stream(12, 0)
+    dense = []
+    for _ in range(m):
+        a = stream.standard_normal((n, n))
+        if symmetry == HERMITIAN:
+            a = (a + 1j * stream.standard_normal((n, n))) / math.sqrt(2.0)
+        h = (a + a.conj().T) / math.sqrt(2.0 * n)
+        dense.append(gap_distribution(np.linalg.eigvalsh(h), GAP_WINDOW))
+    reference = equilibrium_gap_reference(n, symmetry, m, derive_stream(12, 1))
+    ks, critical = ks_two_sample(np.concatenate(dense), reference)
+    assert ks < critical
 
 
 def test_gap_window_too_small():

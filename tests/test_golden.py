@@ -43,7 +43,7 @@ GOLDEN = {
     ),
     "dbm-relax": (
         dict(n_list=[130], samples_per_n=2, reference_samples=3, master_seed=16),
-        "9214f3c734c0b3f81698520c0639d900aad61b26ef429f46a694dd010b3b9830",
+        "1dd9a2896278f171c0b220a121a98c2bb2d9280526d00e25bbe4bb7f4d856703",
     ),
 }
 
@@ -68,5 +68,5 @@ def test_dbm_relax_hermitian_csv_hash(tmp_path):
     path = tmp_path / "dbm-relax-hermitian.csv"
     RUNNERS["dbm-relax"](cfg).write_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "217130d29f0834332749cfeae010b2760afeeb1f87da224c38dc8739253aa425"
+        "a1aeae15a3871646c15f7ef759346900c1c0c2faf7684d3be6d4db7fd20743b5"
     )

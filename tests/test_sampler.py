@@ -13,6 +13,7 @@ from wignerlab.sampler import (
     DistributionError,
     WignerSample,
     derive_stream,
+    eigvalsh_tridiagonal,
     from_name,
     gaussian,
     rademacher,
@@ -271,8 +272,48 @@ def test_eigenvalues_fallback_matches_bytes(monkeypatch, lib):
             assert s.eigenvalues().tobytes() == want.tobytes()
             with pytest.raises(RuntimeError, match="consumed"):
                 s.eigen_pair()
+        for n in (1, 2, 130):
+            d, e = _tridiagonal(n)
+            want = np.linalg.eigvalsh(_dense_tridiagonal(d, e))
+            assert eigvalsh_tridiagonal(d, e).tobytes() == want.tobytes()
     finally:
         sampler._lapack.cache_clear()
+
+
+def _tridiagonal(n, seed=0):
+    stream = derive_stream(seed, n)
+    return stream.standard_normal(n), stream.standard_normal(n - 1)
+
+
+def _dense_tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 512])
+def test_eigvalsh_tridiagonal_matches_dense(n):
+    d, e = _tridiagonal(n)
+    want = np.linalg.eigvalsh(_dense_tridiagonal(d, e))
+    got = eigvalsh_tridiagonal(d, e)
+    assert got is d  # the spectrum overwrites the diagonal
+    assert np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("where", ["d", "e"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigvalsh_tridiagonal_non_finite_raises(where, bad):
+    d, e = _tridiagonal(8)
+    {"d": d, "e": e}[where][3] = bad
+    with pytest.raises(FloatingPointError):
+        eigvalsh_tridiagonal(d, e)
+
+
+def test_eigvalsh_tridiagonal_rejects_mismatched_lengths():
+    # a short e would have dsterf read past its end
+    d, e = _tridiagonal(8)
+    for args in ((d, e[:-1]), (d, np.append(e, 1.0)), (d[:, None], e)):
+        with pytest.raises(ValueError, match="do not match"):
+            eigvalsh_tridiagonal(*args)
 
 
 def test_eigenvalues_of_a_strided_matrix_leave_it_untouched():
