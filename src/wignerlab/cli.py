@@ -168,8 +168,9 @@ def make_parser() -> _Parser:
         sp.add_argument("--samples", type=int, default=None, help="samples per size (default: config value)")
         sp.add_argument("--n", default=None, help="comma-separated dimensions (default: config value)")
         sp.add_argument("--threads", type=int, default=None, help=(
-            "worker threads; they overlap sampling and statistics, while factorizations and "
-            "resolvent products run one at a time (default: 1)"))
+            "worker threads; they overlap sampling and statistics, and eigenvalue solves at "
+            "N <= 512, each on one BLAS thread, while larger solves, eigenvectors and resolvent "
+            "products run one at a time on every BLAS thread (default: 1)"))
         sp.add_argument("--quiet", action="store_true", help="suppress per-check output (default: off)")
 
     for name in RUNNERS:

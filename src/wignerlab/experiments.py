@@ -17,7 +17,8 @@ import numpy as np
 from . import dbm
 from .profile import ProfileError, VarianceProfile, band_profile, flat_profile
 from .resolvent import control_sweep
-from .sampler import HERMITIAN, SYMMETRIC, WignerSample, derive_stream, from_name, sample_indexed
+from .sampler import (HERMITIAN, SYMMETRIC, WignerSample, derive_stream, eigenvalue_phase,
+                      from_name, sample_indexed)
 from .semicircle import SpectralPoint, classical_locations, m_sc, n_sc
 
 
@@ -193,16 +194,21 @@ def _map_indexed(fn, count: int, threads: int) -> list:
         return list(ex.map(fn, range(count)))
 
 
-def monte_carlo(cfg: ExperimentConfig, n: int, statistic) -> list:
-    """statistic(sample) for samples 0..samples_per_n-1 of the configured
-    ensemble at dimension n, in sample order whatever the thread count."""
+def _draw(cfg: ExperimentConfig, n: int):
+    """Sample i of the configured ensemble at dimension n, as a function of i."""
     p = cfg.make_profile(n)
     d = from_name(cfg.distribution)
+    return lambda i: sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i)
 
-    def one(i):
-        return statistic(sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i))
 
-    return _map_indexed(one, cfg.samples_per_n, cfg.threads)
+def monte_carlo(cfg: ExperimentConfig, n: int, statistic) -> list:
+    """statistic(eigenvalues) for samples 0..samples_per_n-1 of the configured
+    ensemble at dimension n, in sample order whatever the thread count, in
+    one eigenvalue phase."""
+    draw = _draw(cfg, n)
+    with eigenvalue_phase(n):
+        return _map_indexed(lambda i: statistic(draw(i).eigenvalues()), cfg.samples_per_n,
+                            cfg.threads)
 
 
 def fmean(xs) -> float:
@@ -277,13 +283,15 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
             math.sqrt(m_sc(z).imag / (n * z.eta)) + 1.0 / (n * z.eta) for z in pts
         ]
 
-        def one(s):
+        draw = _draw(cfg, n)
+
+        def one(i):
             return [
                 (snap.lam, snap.lambda_o / denom)
-                for snap, denom in zip(control_sweep(s, pts), denoms)
+                for snap, denom in zip(control_sweep(draw(i), pts), denoms)
             ]
 
-        per_sample = monte_carlo(cfg, n, one)
+        per_sample = _map_indexed(one, cfg.samples_per_n, cfg.threads)
         med_by_e = {}
         for k, z in enumerate(pts):
             lams = [ps[k][0] for ps in per_sample]
@@ -350,7 +358,7 @@ def run_rigidity(cfg: ExperimentConfig) -> ExperimentReport:
     med_edge, med_center = [], []
     for n in cfg.n_list:
         gamma = classical_locations(n)
-        stats = monte_carlo(cfg, n, lambda s: rigidity_stats(s.eigenvalues(), gamma))
+        stats = monte_carlo(cfg, n, lambda w: rigidity_stats(w, gamma))
         me = median([s["edge_dev"] for s in stats])
         mc = median([s["center_dev"] for s in stats])
         mb = median([s["bulk_max"] for s in stats])
@@ -377,7 +385,7 @@ def run_counting(cfg: ExperimentConfig) -> ExperimentReport:
     columns = ["n", "samples", "median_sup", "p95_sup", "sup_over_log2"]
     rows, checks = [], []
     for n in cfg.n_list:
-        sups = monte_carlo(cfg, n, lambda s: counting_sup(s.eigenvalues()))
+        sups = monte_carlo(cfg, n, counting_sup)
         med = median(sups)
         ratio = med / math.log(n) ** calib["polylog_exponent"]
         rows.append((n, len(sups), med, nearest_rank_quantile(sups, 0.95), ratio))
@@ -416,7 +424,7 @@ def run_edge(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.n_list[0]
     cfg_b = replace(cfg, distribution=cfg.distribution_b, master_seed=cfg.master_seed + 1)
     top_k = min(3, n)  # the three largest eigenvalues; at N = 2 there are two
-    fluct = lambda s: edge_fluctuations(s.eigenvalues(), top_k)
+    fluct = lambda w: edge_fluctuations(w, top_k)
     xa = np.array(monte_carlo(cfg, n, fluct))
     xb = np.array(monte_carlo(cfg_b, n, fluct))
     stat, crit = ks_two_sample(xa[:, 0], xb[:, 0], calib["edge_alpha"])
@@ -438,11 +446,7 @@ def run_extreme_bound(cfg: ExperimentConfig) -> ExperimentReport:
     for n in cfg.n_list:
         thr = 2.0 + c * n ** (-2.0 / 3.0) * math.log(n) ** 1.5
 
-        def exceeds(s):
-            eigs = s.eigenvalues()
-            return float(max(abs(eigs[0]), abs(eigs[-1])) >= thr)
-
-        flags = monte_carlo(cfg, n, exceeds)
+        flags = monte_carlo(cfg, n, lambda w: float(max(abs(w[0]), abs(w[-1])) >= thr))
         frac = fmean(flags)
         rows.append((n, len(flags), thr, frac))
         checks.append(Check(f"extreme_n{n}", frac, hi=0.0))
@@ -505,7 +509,8 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             gaps = dbm.gap_distribution(eigs, dbm.GAP_WINDOW)
             return gaps, off_mean, diag_dev
 
-        results = _map_indexed(one, cfg.samples_per_n, cfg.threads)
+        with eigenvalue_phase(n):
+            results = _map_indexed(one, cfg.samples_per_n, cfg.threads)
         pooled = np.concatenate([r[0] for r in results])
         ks, _ = ks_two_sample(pooled, reference)
         target = 1.0 - math.exp(-t)

@@ -7,6 +7,7 @@ master seed.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -123,37 +124,82 @@ def from_name(name: str) -> EntryDistribution:
 
 
 # OpenBLAS runs a factorization or GEMM on all its threads, so two at once
-# oversubscribe the cores. They hold this lock, never nested; pool workers overlap the rest.
+# oversubscribe the cores. They hold this lock, never nested; pool workers
+# overlap the rest. An eigenvalue phase at N <= PIN_MAX_N holds it throughout
+# instead, with OpenBLAS on one thread, and its solves take no lock.
 BLAS_LOCK = threading.Lock()
+
+# Up to this N a solve gains little from a second BLAS thread, so an
+# eigenvalue phase pins BLAS to one thread and each pool worker solves its own.
+PIN_MAX_N = 512
+
+_pinned = False  # process-wide, like OpenBLAS's thread count: a phase is on
+
+
+@contextlib.contextmanager
+def eigenvalue_phase(n: int):
+    """Scope of a phase whose only BLAS calls are ``eigenvalues()`` at
+    dimension n. At n <= PIN_MAX_N it holds ``BLAS_LOCK`` with OpenBLAS on one
+    thread, so the pool's solves skip the lock and run concurrently, with bits
+    independent of the pool and of the host's thread count, which is restored
+    on exit. Never nested; a ``BLAS_LOCK`` call in it (``eigen_pair()``)
+    would deadlock."""
+    global _pinned
+    threads = _lapack().get("threads")
+    if n > PIN_MAX_N or threads is None:
+        yield
+        return
+    get, set_ = threads
+    with BLAS_LOCK:
+        host = get()
+        set_(1)
+        _pinned = True
+        try:
+            yield
+        finally:
+            _pinned = False
+            set_(host)
 
 
 class WignerSample:
     """A realized matrix h with a lazily computed eigendecomposition cache.
 
-    ``eigenvalues()`` factorizes h where it lies, so it consumes the sample:
-    h is gone afterwards. Call ``eigen_pair()`` first to keep h; the
-    eigenvalues then come from its cache.
+    A sample from ``sample_matrix`` holds only the upper triangle and the
+    diagonal of h, all a solve reads; the lower triangle is filled on first
+    access to ``h``. ``eigenvalues()`` factorizes h where it lies, so it
+    consumes the sample: h is gone afterwards. Call ``eigen_pair()`` first to
+    keep h; the eigenvalues then come from its cache.
     """
 
-    def __init__(self, h: np.ndarray):
+    def __init__(self, h: np.ndarray, *, mirrored: bool = True):
         self._h = h
+        self._mirrored = mirrored
         self._eigenvalues: np.ndarray | None = None
         self._eigenvectors: np.ndarray | None = None
 
-    @property
-    def h(self) -> np.ndarray:
+    def _live(self) -> np.ndarray:
         if self._h is None:
             raise RuntimeError("sample consumed: eigenvalues() overwrote h; call eigen_pair() first")
         return self._h
 
     @property
+    def h(self) -> np.ndarray:
+        h = self._live()
+        if not self._mirrored:
+            diagonal = h.diagonal().copy()
+            _mirror_upper(h)
+            np.fill_diagonal(h, diagonal)
+            self._mirrored = True
+        return h
+
+    @property
     def n(self) -> int:
-        return self.h.shape[0]
+        return self._live().shape[0]
 
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            h, self._h = self.h, None
-            with BLAS_LOCK:
+            h, self._h = self._live(), None
+            with contextlib.nullcontext() if _pinned else BLAS_LOCK:
                 w = eigvalsh_inplace(h)
             self._eigenvalues = _finite(w)
         return self._eigenvalues
@@ -174,9 +220,10 @@ def _finite(w: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _lapack() -> dict:
-    """numpy's bundled ?syevd/?heevd and their work dtypes, by the dtype of h, and
-    dsterf under "sterf"; empty without scipy-openblas. Loaded on first use: dlsym
-    on numpy's linalg extension also searches the libraries it links."""
+    """numpy's bundled ?syevd/?heevd and their work dtypes, by the dtype of h,
+    dsterf under "sterf", and OpenBLAS's thread count getter and setter under
+    "threads" if it exports them; empty without scipy-openblas. Loaded on first
+    use: dlsym on numpy's linalg extension also searches the libraries it links."""
     from numpy.linalg import _umath_linalg
 
     try:
@@ -196,23 +243,29 @@ def _lapack() -> dict:
             i64, ctypes.c_size_t, ctypes.c_size_t]
         fn.restype = None
     sterf.argtypes, sterf.restype = [i64, ptr, ptr, i64], None  # n, d, e, info
-    return {**routines, "sterf": sterf}
+    try:
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:  # no pin: every solve stays on BLAS_LOCK
+        return {**routines, "sterf": sterf}
+    get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+    return {**routines, "sterf": sterf, "threads": (get, set_)}
 
 
 def eigvalsh_inplace(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian matrix h with the bits of
-    numpy's ``eigvalsh``, overwriting h.
+    numpy's ``eigvalsh``, overwriting h. Only h's upper triangle and diagonal
+    are read.
 
     LAPACK (jobz 'N', uplo 'L', 64-bit integers) reads the C-ordered h as
     H^T = conj(H) and reduces it where it lies, without the Fortran-ordered
     copy numpy makes. Without numpy's bundled LAPACK, or for an h it cannot
-    take in place, numpy's ``eigvalsh`` does the work.
+    take in place, numpy's ``eigvalsh`` does the work on the same H^T.
     """
     fn, work = _lapack().get(h.dtype, (None, ()))
     if fn is None or h.ndim != 2 or h.shape[0] != h.shape[1] or not (
         h.flags.c_contiguous and h.flags.writeable
     ):
-        return np.linalg.eigvalsh(h)
+        return np.linalg.eigvalsh(h.T)
     n, w, info = h.shape[0], np.empty(h.shape[0]), ctypes.c_int64()
 
     def call(arrays, sizes) -> None:
@@ -265,7 +318,8 @@ def sample_matrix(
 
     Draw order: the strict upper triangle in row-major order (a Hermitian
     entry is its real part, then its imaginary part), then the diagonal, so
-    a sample reads m + n values of its stream, or 2m + n if Hermitian.
+    a sample reads m + n values of its stream, or 2m + n if Hermitian. The
+    lower triangle is left unfilled until the sample's ``h`` is read.
     """
     n = p.n
     m = n * (n - 1) // 2
@@ -288,9 +342,8 @@ def sample_matrix(
         k = n - 1 - i
         np.multiply(upper[o : o + k], reverse[:k], out=h[i, i + 1 :])
         o += k
-    _mirror_upper(h)
     np.fill_diagonal(h, d.draw(stream, n) * np.sqrt(p.c[0]))
-    return WignerSample(h=h)
+    return WignerSample(h=h, mirrored=False)
 
 
 _MIRROR_BLOCK = 64

@@ -1,0 +1,15 @@
+import pytest
+
+from wignerlab import sampler
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_restored():
+    """Every test leaves OpenBLAS's thread count as it found it, so a pinned
+    phase that failed to restore it shows in the test that ran it. Does
+    nothing when OpenBLAS exports no thread count getter."""
+    threads = sampler._lapack().get("threads")
+    before = threads[0]() if threads else None
+    yield
+    if threads:
+        assert threads[0]() == before, "OpenBLAS thread count changed"

@@ -243,11 +243,12 @@ def test_report_determinism_across_threads_at_n256(tmp_path, runner, cfg):
     assert len(set(hashes)) == 1
 
 
-def test_blas_calls_run_one_at_a_time(monkeypatch):
-    """Pool workers overlap sampling and statistics, never two
-    factorizations or resolvent products."""
+def _count_overlap(monkeypatch, targets, seen=None):
+    """Wrap each owner.name of targets so a call sleeps 20 ms and counts toward
+    the returned state's calls and peak number of calls in flight, over all
+    targets together; seen(args) adds to its log."""
     guard = threading.Lock()
-    state = {"active": 0, "peak": 0, "calls": 0}
+    state = {"active": 0, "peak": 0, "calls": 0, "log": []}
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -255,6 +256,8 @@ def test_blas_calls_run_one_at_a_time(monkeypatch):
                 state["active"] += 1
                 state["calls"] += 1
                 state["peak"] = max(state["peak"], state["active"])
+                if seen is not None:
+                    state["log"].append(seen(args))
             try:
                 time.sleep(0.02)
                 return fn(*args, **kwargs)
@@ -263,19 +266,78 @@ def test_blas_calls_run_one_at_a_time(monkeypatch):
                     state["active"] -= 1
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
-    monkeypatch.setattr(sampler, "eigvalsh_inplace", counted(sampler.eigvalsh_inplace))
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
-    monkeypatch.setattr(np, "matmul", counted(np.matmul))
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    return state
+
+
+def _blas_threads():
+    threads = sampler._lapack().get("threads")
+    if threads is None:
+        pytest.skip("OpenBLAS exports no thread count setter")
+    return threads
+
+
+def test_unpinned_blas_calls_run_one_at_a_time(monkeypatch):
+    """lsc's eigh and resolvent products, and solves above PIN_MAX_N, never
+    overlap: each takes BLAS_LOCK and every BLAS thread."""
+    state = _count_overlap(monkeypatch, [(np.linalg, "eigvalsh"), (sampler, "eigvalsh_inplace"),
+                                         (np.linalg, "eigh"), (np, "matmul")])
+    n = sampler.PIN_MAX_N + 1
     runs = [
         (run_lsc, dict(n_list=[8], eta_count=3)),
-        (run_edge, dict(n_list=[8], symmetry=HERMITIAN, distribution_b="rademacher")),
-        (run_dbm_relax, dict(n_list=[96], samples_per_n=2, reference_samples=1)),
+        (run_counting, dict(n_list=[n])),
+        (run_dbm_relax, dict(n_list=[n], samples_per_n=2, reference_samples=1)),
     ]
     for runner, cfg in runs:
         state.update(peak=0, calls=0)
         runner(ExperimentConfig(**{"samples_per_n": 8, **cfg, "threads": 4}))
         assert state["calls"] > 0 and state["peak"] == 1, (runner.__name__, state)
+
+
+def test_pinned_solves_run_concurrently_on_one_blas_thread(monkeypatch):
+    """At N <= PIN_MAX_N the pool's solves overlap, and each sees one
+    OpenBLAS thread; above it each sees the host's count."""
+    get, _ = _blas_threads()
+    host = get()
+    state = _count_overlap(monkeypatch, [(sampler, "eigvalsh_inplace")],
+                           seen=lambda args: (args[0].shape[0], get()))
+    runs = [
+        (run_edge, dict(n_list=[64], symmetry=HERMITIAN, distribution_b="rademacher")),
+        (run_rigidity, dict(n_list=[48, 64, sampler.PIN_MAX_N + 1], samples_per_n=4)),
+        (run_dbm_relax, dict(n_list=[96], samples_per_n=4, reference_samples=1)),
+    ]
+    for runner, cfg in runs:
+        state.update(peak=0, calls=0, log=[])
+        runner(ExperimentConfig(**{"samples_per_n": 8, **cfg, "threads": 4}))
+        assert state["peak"] > 1, runner.__name__
+        assert state["log"] and all(t == (1 if n <= sampler.PIN_MAX_N else host)
+                                    for n, t in state["log"]), (runner.__name__, state["log"])
+
+
+def test_runners_restore_host_blas_threads():
+    """The pin ends with each phase, also when a statistic raises."""
+    get, set_ = _blas_threads()
+    host = get()
+    set_(2)
+    try:
+        want = get()
+        for name, runner in RUNNERS.items():
+            n = 96 if name == "dbm-relax" else 16
+            runner(ExperimentConfig(n_list=[n], samples_per_n=2, reference_samples=1,
+                                    distribution_b="rademacher", threads=2))
+            assert get() == want, name
+
+        def bad(w):
+            raise ArithmeticError("statistic failed")
+
+        for threads in (1, 2):
+            with pytest.raises(ArithmeticError):
+                monte_carlo(ExperimentConfig(n_list=[16], samples_per_n=2, threads=threads), 16, bad)
+            assert get() == want
+            assert not sampler.BLAS_LOCK.locked() and not sampler._pinned
+    finally:
+        set_(host)
 
 
 def test_report_rerun_byte_identical(tmp_path):
@@ -338,10 +400,9 @@ def test_monte_carlo_matches_serial_draws():
                 symmetry="hermitian", distribution="rademacher", master_seed=21)
     p = ExperimentConfig(**base).make_profile(40)
     d = from_name("rademacher")
-    stat = lambda s: s.eigenvalues()
-    want = [stat(sample_indexed(p, d, "hermitian", 21, i)) for i in range(5)]
+    want = [sample_indexed(p, d, "hermitian", 21, i).eigenvalues() for i in range(5)]
     for threads in (1, 3):
-        got = monte_carlo(ExperimentConfig(**base, threads=threads), 40, stat)
+        got = monte_carlo(ExperimentConfig(**base, threads=threads), 40, lambda w: w)
         assert len(got) == len(want)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 

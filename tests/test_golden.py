@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from wignerlab import sampler
 from wignerlab.experiments import RUNNERS, ExperimentConfig
 
 GOLDEN = {
@@ -70,3 +71,27 @@ def test_dbm_relax_hermitian_csv_hash(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "a1aeae15a3871646c15f7ef759346900c1c0c2faf7684d3be6d4db7fd20743b5"
     )
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("rigidity", dict(n_list=[256], samples_per_n=4, master_seed=3)),
+    ("edge", dict(n_list=[256], samples_per_n=4, symmetry="hermitian",
+                  distribution_b="rademacher", master_seed=3)),
+], ids=["rigidity", "edge-hermitian"])
+def test_csv_independent_of_host_blas_threads(name, kwargs, tmp_path):
+    """At N <= PIN_MAX_N the runners solve on one BLAS thread whatever the
+    host's setting; without the pin, 1 and 2 threads give other bits here."""
+    threads = sampler._lapack().get("threads")
+    if threads is None:
+        pytest.skip("OpenBLAS exports no thread count setter")
+    get, set_ = threads
+    host, csvs = get(), []
+    try:
+        for count in (1, 2):
+            set_(count)
+            path = tmp_path / f"{count}.csv"
+            RUNNERS[name](ExperimentConfig(**kwargs)).write_csv(path)
+            csvs.append(path.read_bytes())
+    finally:
+        set_(host)
+    assert csvs[0] == csvs[1]

@@ -257,6 +257,22 @@ def test_eigenvalues_in_place_match_eigvalsh_bytes(n):
         assert s.eigenvalues().tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [130, 256, 512])
+@pytest.mark.parametrize("kind", ["flat", "band"])
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+def test_eigenvalues_read_no_lower_triangle(symmetry, kind, n):
+    """The eigenvalue path never fills the lower triangle, and never needs to:
+    the unfilled sample and the same h with a lower triangle of NaN give the
+    eigenvalue bytes of the full matrix."""
+    p = _PROFILES[kind](n)
+    full = sample_matrix(p, gaussian(), symmetry, derive_stream(n, 1)).h
+    want = WignerSample(full.copy()).eigenvalues()
+    got = sample_matrix(p, gaussian(), symmetry, derive_stream(n, 1)).eigenvalues()
+    assert got.tobytes() == want.tobytes()
+    full[np.tril_indices(n, -1)] = np.nan
+    assert WignerSample(full, mirrored=False).eigenvalues().tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("lib", [None, object()], ids=["no-library", "no-symbol"])
 def test_eigenvalues_fallback_matches_bytes(monkeypatch, lib):
     def cdll(name):
