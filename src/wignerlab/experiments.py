@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from importlib import resources
@@ -195,20 +196,30 @@ def _map_indexed(fn, count: int, threads: int) -> list:
 
 
 def _draw(cfg: ExperimentConfig, n: int):
-    """Sample i of the configured ensemble at dimension n, as a function of i."""
+    """Sample i of the configured ensemble at dimension n, as a function of i
+    and of the array to draw it into (a fresh one by default)."""
     p = cfg.make_profile(n)
     d = from_name(cfg.distribution)
-    return lambda i: sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i)
+    return lambda i, out=None: sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i, out)
 
 
 def monte_carlo(cfg: ExperimentConfig, n: int, statistic) -> list:
     """statistic(eigenvalues) for samples 0..samples_per_n-1 of the configured
     ensemble at dimension n, in sample order whatever the thread count, in
-    one eigenvalue phase."""
+    one eigenvalue phase. Each pool worker draws and factorizes all its
+    samples in one N×N buffer, allocated at its first sample; the buffers go
+    with the phase."""
     draw = _draw(cfg, n)
+    dtype = complex if cfg.symmetry == HERMITIAN else float
+    worker = threading.local()
+
+    def one(i):
+        if not hasattr(worker, "h"):
+            worker.h = np.empty((n, n), dtype)
+        return statistic(draw(i, worker.h).eigenvalues())
+
     with eigenvalue_phase(n):
-        return _map_indexed(lambda i: statistic(draw(i).eigenvalues()), cfg.samples_per_n,
-                            cfg.threads)
+        return _map_indexed(one, cfg.samples_per_n, cfg.threads)
 
 
 def fmean(xs) -> float:

@@ -48,21 +48,24 @@ class _Resolvent:
 
     Real U (symmetric class) gives a complex symmetric G, so only its upper
     triangle is computed: with B = diag(1/(w - z)) U^T, G[lo:hi, lo:] is one
-    real GEMM of u[lo:hi] with the float view of B[:, lo:]. Complex U
+    real GEMM of U[lo:hi] with the float view of B[:, lo:]. Complex U
     (Hermitian class) takes one complex GEMM for all of G. The GEMMs hold
-    ``BLAS_LOCK``.
+    ``BLAS_LOCK``. The layout of a GEMM operand sets the product's last
+    bits, so each has one layout whatever the order of U (``eigen_pair``
+    gives a Fortran-ordered U): the real class holds U and U^T both
+    C-ordered, and U^H is the transpose of a C-ordered conj(U).
     """
 
     def __init__(self, w: np.ndarray, u: np.ndarray):
         self.w, self.u, self.n = w, u, len(w)
         self.real = not np.iscomplexobj(u)
         if self.real:
-            self.ut = np.ascontiguousarray(u.T)
+            self.u, self.ut = np.ascontiguousarray(u), np.ascontiguousarray(u.T)
             self.b = np.empty(u.shape, dtype=np.complex128)
             self.g = np.empty(min(self.n, _STRIP) * self.n, dtype=np.complex128)
         else:
-            self.uh = u.conj().T
-            self.scaled = np.empty_like(u)
+            self.uh = np.conjugate(u, order="C").T
+            self.scaled = np.empty(u.shape, dtype=np.complex128)
             self.g = np.empty(u.shape, dtype=np.complex128)
 
     def strips(self, z: complex):

@@ -205,9 +205,12 @@ class WignerSample:
         return self._eigenvalues
 
     def eigen_pair(self):
+        """(w, U) with the bits of numpy's ``eigh`` of h, from a copy of h that
+        ``eigh_inplace`` overwrites; h is kept."""
         if self._eigenvectors is None:
+            a = self._live().copy()
             with BLAS_LOCK:
-                w, u = np.linalg.eigh(self.h)
+                w, u = eigh_inplace(a)
             self._eigenvalues, self._eigenvectors = _finite(w), u
         return self._eigenvalues, self._eigenvectors
 
@@ -261,17 +264,47 @@ def eigvalsh_inplace(h: np.ndarray) -> np.ndarray:
     copy numpy makes. Without numpy's bundled LAPACK, or for an h it cannot
     take in place, numpy's ``eigvalsh`` does the work on the same H^T.
     """
+    w = _evd(h, b"N")
+    return np.linalg.eigvalsh(h.T) if w is None else w
+
+
+def eigh_inplace(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues w and eigenvectors U of the Hermitian matrix h
+    with the bits of numpy's ``eigh``, overwriting h. Only h's upper triangle
+    and diagonal are read.
+
+    As in ``eigvalsh_inplace``, LAPACK (jobz 'V') factorizes H^T = conj(H)
+    where it lies. It writes its eigenvectors conj(U) over h as rows, so U is
+    the Fortran-ordered view h.T once h is conjugated in place. Without that
+    path, numpy's ``eigh`` returns the same conj(U) in a fresh array.
+    """
+    w = _evd(h, b"V")
+    if w is None:
+        w, u = np.linalg.eigh(h.T)
+    else:
+        u = h.T
+    if np.iscomplexobj(u):
+        # conj as 0 - Im: U's first row is real, with the +0.0 imaginary parts
+        # numpy's eigh gives it, and keeps them
+        np.subtract(0.0, u.imag, out=u.imag)
+    return w, u
+
+
+def _evd(h: np.ndarray, jobz: bytes) -> np.ndarray | None:
+    """Eigenvalues from numpy's bundled ?syevd/?heevd (jobz, uplo 'L', 64-bit
+    integers) run on h where it lies, or None without them or unless h is
+    square, C-ordered and writeable."""
     fn, work = _lapack().get(h.dtype, (None, ()))
     if fn is None or h.ndim != 2 or h.shape[0] != h.shape[1] or not (
         h.flags.c_contiguous and h.flags.writeable
     ):
-        return np.linalg.eigvalsh(h.T)
+        return None
     n, w, info = h.shape[0], np.empty(h.shape[0]), ctypes.c_int64()
 
     def call(arrays, sizes) -> None:
         sized = [a for arr, size in zip(arrays, sizes)
                  for a in (arr.ctypes.data, ctypes.byref(ctypes.c_int64(size)))]
-        fn(b"N", b"L", ctypes.byref(ctypes.c_int64(n)), h.ctypes.data,
+        fn(jobz, b"L", ctypes.byref(ctypes.c_int64(n)), h.ctypes.data,
            ctypes.byref(ctypes.c_int64(max(1, n))), w.ctypes.data, *sized, ctypes.byref(info), 1, 1)
 
     # query the workspace, then allocate it, as numpy does
@@ -313,6 +346,7 @@ def sample_matrix(
     d: EntryDistribution,
     symmetry: str,
     stream: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> WignerSample:
     """Draw one matrix with E h_ij = 0 and E |h_ij|^2 = sigma2_ij * scale^2.
 
@@ -320,16 +354,30 @@ def sample_matrix(
     entry is its real part, then its imaginary part), then the diagonal, so
     a sample reads m + n values of its stream, or 2m + n if Hermitian. The
     lower triangle is left unfilled until the sample's ``h`` is read.
+
+    ``out``, a writeable C-ordered n×n array of the class's dtype (float64,
+    or complex128 if Hermitian), becomes h: its upper triangle and diagonal
+    are overwritten and its lower triangle is never read, so whatever it
+    held gives the bits of a fresh array.
     """
     n = p.n
     m = n * (n - 1) // 2
     if symmetry == SYMMETRIC:
-        h, var = np.empty((n, n)), p.c
+        dtype, var = np.dtype(float), p.c
     elif symmetry == HERMITIAN:
         # independent real and imaginary parts, each of variance sigma2/2
-        h, var = np.empty((n, n), dtype=complex), p.c / 2.0
+        dtype, var = np.dtype(complex), p.c / 2.0
     else:
         raise ValueError(f"unknown symmetry class {symmetry!r}")
+    if out is None:
+        h = np.empty((n, n), dtype)
+    elif out.shape != (n, n) or out.dtype != dtype or not (
+        out.flags.c_contiguous and out.flags.writeable
+    ):
+        raise ValueError(f"out must be a writeable C-contiguous {dtype} array of shape "
+                         f"{(n, n)}, not {out.dtype} {out.shape}")
+    else:
+        h = out
     # the draws fill the last m entries of h itself; row i's target
     # h[i, i+1:] ends at entry n(i+1) <= n^2 - (n-1-i)(n-i)/2, before its own
     # draws and every later row's, so no row overwrites draws still unread
@@ -377,6 +425,8 @@ def _mirror_upper(h: np.ndarray) -> None:
                 lo[...] = up.T
 
 
-def sample_indexed(p, d, symmetry, master_seed: int, sample_index: int) -> WignerSample:
-    """Sample `sample_index` of the ensemble, drawn from its own stream."""
-    return sample_matrix(p, d, symmetry, derive_stream(master_seed, sample_index))
+def sample_indexed(p, d, symmetry, master_seed: int, sample_index: int,
+                   out: np.ndarray | None = None) -> WignerSample:
+    """Sample `sample_index` of the ensemble, drawn from its own stream
+    (into ``out`` if given, as in ``sample_matrix``)."""
+    return sample_matrix(p, d, symmetry, derive_stream(master_seed, sample_index), out)

@@ -4,6 +4,7 @@ import json
 import math
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -282,7 +283,7 @@ def test_unpinned_blas_calls_run_one_at_a_time(monkeypatch):
     """lsc's eigh and resolvent products, and solves above PIN_MAX_N, never
     overlap: each takes BLAS_LOCK and every BLAS thread."""
     state = _count_overlap(monkeypatch, [(np.linalg, "eigvalsh"), (sampler, "eigvalsh_inplace"),
-                                         (np.linalg, "eigh"), (np, "matmul")])
+                                         (sampler, "eigh_inplace"), (np, "matmul")])
     n = sampler.PIN_MAX_N + 1
     runs = [
         (run_lsc, dict(n_list=[8], eta_count=3)),
@@ -313,6 +314,34 @@ def test_pinned_solves_run_concurrently_on_one_blas_thread(monkeypatch):
         assert state["peak"] > 1, runner.__name__
         assert state["log"] and all(t == (1 if n <= sampler.PIN_MAX_N else host)
                                     for n, t in state["log"]), (runner.__name__, state["log"])
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_monte_carlo_draws_into_one_buffer_per_worker(monkeypatch, threads):
+    """Every solve of a pool worker runs in the one N×N buffer it allocated at
+    its first sample, so the solves see at most min(threads, samples) arrays
+    (a fresh array per sample would give 6), and no buffer outlives the
+    phase. The spectra are those of fresh arrays."""
+    n, count = 256, 6
+    cfg = ExperimentConfig(n_list=[n], samples_per_n=count, threads=threads)
+    p, d = flat_profile(n), from_name(cfg.distribution)
+    with sampler.eigenvalue_phase(n):
+        want = [sample_indexed(p, d, SYMMETRIC, cfg.master_seed, i).eigenvalues().tobytes()
+                for i in range(count)]
+    seen = []  # holds every array, so no address is reused
+    solve = sampler.eigvalsh_inplace
+
+    def recording(h):
+        seen.append(h)
+        return solve(h)
+
+    monkeypatch.setattr(sampler, "eigvalsh_inplace", recording)
+    assert monte_carlo(cfg, n, lambda w: w.tobytes()) == want
+    assert len(seen) == count
+    assert len({h.ctypes.data for h in seen}) <= min(threads, count)
+    alive = [weakref.ref(h) for h in seen]
+    seen.clear()
+    assert all(ref() is None for ref in alive)
 
 
 def test_runners_restore_host_blas_threads():

@@ -125,7 +125,8 @@ def strip_formula(w, u, z):
     # the arithmetic green_at keeps bit for bit: one complex GEMM for complex
     # eigenvectors; for real ones B = diag(1/(w - z)) U^T, its Re and Im
     # written separately, one real GEMM per strip of _STRIP rows for
-    # G[lo:hi, lo:], and the upper triangle mirrored below the diagonal
+    # G[lo:hi, lo:] from the C-ordered rows U[lo:hi] whatever the order of u,
+    # and the upper triangle mirrored below the diagonal
     if np.iscomplexobj(u):
         return spectral_formula(w, u, z)
     n = len(w)
@@ -136,7 +137,8 @@ def strip_formula(w, u, z):
     g = np.empty(u.shape, dtype=np.complex128)
     for lo in range(0, n, _STRIP):
         hi = min(lo + _STRIP, n)
-        g[lo:hi, lo:] = (u[lo:hi] @ b.view(np.float64)[:, 2 * lo:]).view(np.complex128)
+        rows = np.ascontiguousarray(u[lo:hi])
+        g[lo:hi, lo:] = (rows @ b.view(np.float64)[:, 2 * lo:]).view(np.complex128)
     for i in range(n):
         g[i + 1:, i] = g[i, i + 1:]
     return g

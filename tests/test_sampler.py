@@ -239,15 +239,29 @@ def test_sample_takes_only_the_matrix():
         WignerSample(np.eye(2), np.ones(2))
 
 
-def _eigvalsh_cases(n):
-    """(sample, np.linalg.eigvalsh of its h) for both classes, flat and band
-    profiles and all four laws."""
+def _case_draws(n):
+    """A function drawing the same fresh sample at each call, for both
+    classes, flat and band profiles and all four laws."""
     for symmetry in (SYMMETRIC, HERMITIAN):
         for kind in ("flat", "band"):
             p = _PROFILES[kind](n)
             for k, law in enumerate(_LAWS):
-                s = sample_matrix(p, law, symmetry, derive_stream(n, k))
-                yield s, np.linalg.eigvalsh(s.h)
+                yield lambda p=p, law=law, symmetry=symmetry, k=k: sample_matrix(
+                    p, law, symmetry, derive_stream(n, k))
+
+
+def _eigvalsh_cases(n):
+    """(sample, np.linalg.eigvalsh of its h) for each of _case_draws."""
+    for draw in _case_draws(n):
+        s = draw()
+        yield s, np.linalg.eigvalsh(s.h)
+
+
+def _eigh_cases(n):
+    """(a sample never mirrored, np.linalg.eigh of the same sample's h) for
+    each of _case_draws."""
+    for draw in _case_draws(n):
+        yield draw(), np.linalg.eigh(draw().h)
 
 
 # one and two BLAS threads give different bits from N = 192/224 on
@@ -273,6 +287,98 @@ def test_eigenvalues_read_no_lower_triangle(symmetry, kind, n):
     assert WignerSample(full, mirrored=False).eigenvalues().tobytes() == want.tobytes()
 
 
+def _twins(symmetry, n):
+    """Two equal samples of the class at dimension n, never mirrored; at
+    N = 1, which no profile has, two 1×1 matrices."""
+    if n == 1:
+        h = np.full((1, 1), 0.7, complex if symmetry == HERMITIAN else float)
+        return WignerSample(h.copy()), WignerSample(h)
+    return tuple(sample_matrix(flat_profile(n), gaussian(), symmetry, derive_stream(n, 2))
+                 for _ in range(2))
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 12, 130, 512])
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+def test_eigen_pair_matches_eigh_bytes(symmetry, n, blas_threads):
+    """eigen_pair solves a copy of h in place and gives (w, U) with the bytes
+    of numpy's eigh of the mirrored h at either BLAS thread count, on a
+    sample never mirrored and on one whose h was read first; h is left as it
+    was."""
+    threads = sampler._lapack().get("threads")
+    if threads is None:
+        pytest.skip("OpenBLAS exports no thread count setter")
+    get, set_ = threads
+    host = get()
+    set_(blas_threads)
+    try:
+        s, t = _twins(symmetry, n)
+        h = t.h
+        before = h.tobytes()
+        w0, u0 = np.linalg.eigh(h)
+        for sample in (s, t):
+            w, u = sample.eigen_pair()
+            assert w.tobytes() == w0.tobytes()
+            assert u.tobytes() == u0.tobytes()
+        assert t.h is h and h.tobytes() == before
+        assert s.h.tobytes() == before
+    finally:
+        set_(host)
+
+
+@pytest.mark.parametrize("stale", ["nan", "lapack-output"])
+@pytest.mark.parametrize("law", [gaussian(), rademacher()], ids=["gaussian", "rademacher"])
+@pytest.mark.parametrize("w", [None, 8], ids=["flat", "band-w8"])
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+def test_sample_into_a_stale_buffer_matches_a_fresh_array(symmetry, w, law, stale):
+    """sample_matrix(out=) overwrites all that h's mirror and a solve read: a
+    buffer of NaN, or one holding an earlier sample's LAPACK output, gives the
+    fresh array's h and eigenvalue bytes."""
+    n = 130
+    p = flat_profile(n) if w is None else band_profile(
+        n, w, lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
+    buf = np.empty((n, n), complex if symmetry == HERMITIAN else float)
+    if stale == "nan":
+        buf.view(float).fill(np.nan)
+    else:
+        sample_matrix(p, law, symmetry, derive_stream(n, 0), out=buf).eigenvalues()
+
+    def fresh():
+        return sample_matrix(p, law, symmetry, derive_stream(n, 1))
+
+    want = fresh().eigenvalues()
+    s = sample_matrix(p, law, symmetry, derive_stream(n, 1), out=buf)
+    assert s.eigenvalues().tobytes() == want.tobytes()
+    stale_h = buf.copy()
+    h = sample_matrix(p, law, symmetry, derive_stream(n, 1), out=stale_h).h
+    assert h is stale_h and h.tobytes() == fresh().h.tobytes()
+
+
+def test_sample_matrix_rejects_an_unusable_out():
+    """A wrong shape or dtype, or an out that is not C-contiguous or not
+    writeable, raises before the stream is read."""
+    n = 8
+    read_only = np.empty((n, n))
+    read_only.flags.writeable = False
+    cases = [
+        (SYMMETRIC, np.empty((n, n + 1))),
+        (SYMMETRIC, np.empty((n - 1, n - 1))),
+        (SYMMETRIC, np.empty(n * n)),
+        (SYMMETRIC, np.empty((n, n), complex)),
+        (SYMMETRIC, np.empty((n, n), np.float32)),
+        (HERMITIAN, np.empty((n, n))),
+        (HERMITIAN, np.empty((n, n), np.complex64)),
+        (SYMMETRIC, np.empty((n, n), order="F")),
+        (HERMITIAN, np.empty((n, 2 * n), complex)[:, ::2]),
+        (SYMMETRIC, read_only),
+    ]
+    for symmetry, out in cases:
+        stream = derive_stream(0, 0)
+        with pytest.raises(ValueError, match="out must be"):
+            sample_matrix(flat_profile(n), gaussian(), symmetry, stream, out=out)
+        assert stream.standard_normal(3).tobytes() == derive_stream(0, 0).standard_normal(3).tobytes()
+
+
 @pytest.mark.parametrize("lib", [None, object()], ids=["no-library", "no-symbol"])
 def test_eigenvalues_fallback_matches_bytes(monkeypatch, lib):
     def cdll(name):
@@ -288,6 +394,9 @@ def test_eigenvalues_fallback_matches_bytes(monkeypatch, lib):
             assert s.eigenvalues().tobytes() == want.tobytes()
             with pytest.raises(RuntimeError, match="consumed"):
                 s.eigen_pair()
+        for s, (w0, u0) in _eigh_cases(130):
+            w, u = s.eigen_pair()
+            assert w.tobytes() == w0.tobytes() and u.tobytes() == u0.tobytes()
         for n in (1, 2, 130):
             d, e = _tridiagonal(n)
             want = np.linalg.eigvalsh(_dense_tridiagonal(d, e))
