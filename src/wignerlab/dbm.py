@@ -29,12 +29,17 @@ GAP_WINDOW = (0.0, 1.0)
 
 
 def _noise(n: int, symmetry: str, stream: np.random.Generator) -> np.ndarray:
-    """Gaussian matrix with entry variance 1/n in both symmetry classes.
+    """Upper triangle and diagonal of a Gaussian matrix with entry variance
+    1/n in both symmetry classes; the strict lower triangle is zero.
 
     Uses the flat profile on the diagonal too, which makes sigma2 = 1/n a
     fixed point of the variance interpolation.
     """
-    return sample_matrix(flat_profile(n), gaussian(), symmetry, stream).h
+    h = np.empty((n, n), complex if symmetry == HERMITIAN else float)
+    sample_matrix(flat_profile(n), gaussian(), symmetry, stream, out=h)
+    for i in range(1, n):  # sample_matrix leaves it unset, or holding staged draws
+        h[i, :i] = 0.0
+    return h
 
 
 def ou_endpoint(
@@ -42,9 +47,12 @@ def ou_endpoint(
 ) -> np.ndarray:
     """Exact-in-distribution sample of the flow at time t from diag(start).
 
-    The noise matrix becomes the sample: it is scaled where it lies and
-    e^{-t/2} start is added on its diagonal, so the sample is one N x N
-    buffer. At t = 0 the sample is diag(start) and draws nothing.
+    The result holds only the upper triangle and the diagonal of the sample,
+    all a solve reads; its strict lower triangle is zero, and
+    ``WignerSample(h, mirrored=False).h`` fills it. The noise matrix becomes
+    the sample: it is scaled where it lies and e^{-t/2} start is added on its
+    diagonal, so the sample is one N x N buffer. At t = 0 the sample is
+    diag(start) and draws nothing.
     """
     if not t >= 0:  # a NaN t fails every comparison
         raise FlowError(f"t={t} must be nonnegative")

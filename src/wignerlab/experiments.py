@@ -1,5 +1,5 @@
-"""Monte Carlo harness: local-law scaling, rigidity, counting function,
-extreme-eigenvalue bound, edge comparison and flow relaxation, with
+"""Monte Carlo harness: local-law scaling, rigidity with its extreme-eigenvalue
+bound, counting function, edge comparison and flow relaxation, with
 deterministic seeded parallelism and CSV/JSON reports."""
 
 from __future__ import annotations
@@ -345,6 +345,7 @@ def rigidity_stats(eigs: np.ndarray, gamma: np.ndarray) -> dict:
         "edge_dev": float(abs(eigs[-1] - 2.0)),
         "center_dev": float(dev[n // 2 - 1]),
         "bulk_max": float(n * dev[bulk].max()),
+        "spectral_radius": float(max(abs(eigs[0]), abs(eigs[-1]))),
     }
 
 
@@ -360,6 +361,9 @@ def counting_sup(eigs: np.ndarray) -> float:
 
 
 def run_rigidity(cfg: ExperimentConfig) -> ExperimentReport:
+    """Eigenvalue deviations from the classical locations, with their N
+    slopes, and the bound that no sample's max(|lambda_1|, |lambda_N|)
+    reaches 2 + c N^(-2/3) (log N)^1.5."""
     calib = load_calibration()
     columns = [
         "n", "samples", "median_edge_dev", "median_center_dev",
@@ -379,6 +383,9 @@ def run_rigidity(cfg: ExperimentConfig) -> ExperimentReport:
         med_edge.append(me)
         med_center.append(mc)
         checks.append(Check(f"rigidity_scaled_n{n}", ratio, hi=calib["rigidity_scaled_const"]))
+        threshold = 2.0 + calib["extreme_c"] * n ** (-2.0 / 3.0) * math.log(n) ** 1.5
+        fits[f"extreme_threshold_n{n}"] = threshold
+        checks.append(Check(f"extreme_n{n}", max(s["spectral_radius"] for s in stats), hi=threshold))
     if len(cfg.n_list) >= 3:
         s_edge, _, se_edge = slope_fit(cfg.n_list, med_edge)
         s_center, _, se_center = slope_fit(cfg.n_list, med_center)
@@ -405,7 +412,7 @@ def run_counting(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# edge universality and extreme-eigenvalue bound
+# edge universality
 
 
 def edge_fluctuations(eigs: np.ndarray, top_k: int) -> np.ndarray:
@@ -447,21 +454,6 @@ def run_edge(cfg: ExperimentConfig) -> ExperimentReport:
             rows.append((tag, i, *[float(v) for v in vec]))
     fits = {"ks_top": stat, "ks_bottom": stat_min, "critical": crit}
     return ExperimentReport("edge", asdict(cfg), columns, rows, fits, [Check("edge_ks", stat, hi=crit)])
-
-
-def run_extreme_bound(cfg: ExperimentConfig) -> ExperimentReport:
-    calib = load_calibration()
-    c = calib["extreme_c"]
-    columns = ["n", "samples", "threshold", "exceedance_fraction"]
-    rows, checks = [], []
-    for n in cfg.n_list:
-        thr = 2.0 + c * n ** (-2.0 / 3.0) * math.log(n) ** 1.5
-
-        flags = monte_carlo(cfg, n, lambda w: float(max(abs(w[0]), abs(w[-1])) >= thr))
-        frac = fmean(flags)
-        rows.append((n, len(flags), thr, frac))
-        checks.append(Check(f"extreme_n{n}", frac, hi=0.0))
-    return ExperimentReport("extreme", asdict(cfg), columns, rows, {"c": c}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +508,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             off_mean = upper_mean_square(ht) * n
             diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
             # factorizing overwrites ht, so it comes last; diag(gamma) (t = 0) has spectrum gamma
-            eigs = gamma if t == 0.0 else WignerSample(h=ht).eigenvalues()
+            eigs = gamma if t == 0.0 else WignerSample(ht, mirrored=False).eigenvalues()
             gaps = dbm.gap_distribution(eigs, dbm.GAP_WINDOW)
             return gaps, off_mean, diag_dev
 
@@ -555,7 +547,6 @@ READS = {
     "rigidity": _ENSEMBLE,
     "counting": _ENSEMBLE,
     "edge": _ENSEMBLE | {"distribution_b", "allow_moment_mismatch"},
-    "extreme": _ENSEMBLE,
     "dbm-relax": _ENSEMBLE - {"profile", "distribution"} | {"reference_samples"},
 }
 
@@ -564,6 +555,5 @@ RUNNERS = {
     "rigidity": run_rigidity,
     "counting": run_counting,
     "edge": run_edge,
-    "extreme": run_extreme_bound,
     "dbm-relax": run_dbm_relax,
 }

@@ -186,8 +186,11 @@ class WignerSample:
     def h(self) -> np.ndarray:
         h = self._live()
         if not self._mirrored:
-            diagonal = h.diagonal().copy()
-            _mirror_upper(h)
+            # the bits of U + U^H, U the strict upper triangle, with one N x N
+            # temporary; the sign of zero too (x + 0.0 turns -0.0 into +0.0)
+            diagonal, u = h.diagonal().copy(), np.triu(h, 1)
+            np.conjugate(u.T, out=h)
+            np.add(u, h, out=h)
             np.fill_diagonal(h, diagonal)
             self._mirrored = True
         return h
@@ -392,37 +395,6 @@ def sample_matrix(
         o += k
     np.fill_diagonal(h, d.draw(stream, n) * np.sqrt(p.c[0]))
     return WignerSample(h=h, mirrored=False)
-
-
-_MIRROR_BLOCK = 64
-
-
-def _mirror_upper(h: np.ndarray) -> None:
-    """Overwrite h with U + U^H, U its strict upper triangle, block by block.
-
-    Each entry gets the same addition with zero as in the full-matrix sum
-    ``np.triu(h, 1) + np.triu(h, 1).conj().T``, so every bit matches it, the
-    sign of zero included (a zero variance times a negative draw is -0.0, and
-    x + 0.0 turns it into +0.0). The diagonal comes out zero.
-    """
-    n = h.shape[0]
-    b = _MIRROR_BLOCK
-    hermitian = np.iscomplexobj(h)
-    # U[i, j] + conj(0); for complex h the conjugated zero is 0 - 0j
-    upper_zero = complex(0.0, -0.0) if hermitian else 0.0
-    for i0 in range(0, n, b):
-        i1 = min(i0 + b, n)
-        u = np.triu(h[i0:i1, i0:i1], 1)
-        np.add(u, u.conj().T, out=h[i0:i1, i0:i1])
-        for j0 in range(i1, n, b):
-            j1 = min(j0 + b, n)
-            up, lo = h[i0:i1, j0:j1], h[j0:j1, i0:i1]
-            up += upper_zero
-            if hermitian:
-                np.conjugate(up.T, out=lo)
-                lo += 0.0  # 0 + conj(U): a -0.0 imaginary part becomes +0.0
-            else:
-                lo[...] = up.T
 
 
 def sample_indexed(p, d, symmetry, master_seed: int, sample_index: int,

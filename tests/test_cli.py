@@ -66,15 +66,15 @@ def test_failing_check_prints_and_records_its_margin(tmp_path, capsys):
     cfg_file = tmp_path / "run.conf"
     cfg_file.write_text("distribution = gaussian:scale=4\n")
     out = tmp_path / "out"
-    argv = ["extreme", "--config", str(cfg_file), "--n", "64", "--samples", "5", "--out", str(out)]
+    argv = ["rigidity", "--config", str(cfg_file), "--n", "64", "--samples", "5", "--out", str(out)]
     assert main(argv) == EXIT_CHECK_FAILED
     (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[FAIL] extreme_n64:")]
     assert float(line.rsplit("margin ", 1)[1]) < 0
-    summary = json.loads((out / "extreme.json").read_text())
-    (check,) = summary["checks"]
-    assert check["name"] == "extreme_n64" and check["passed"] is False and check["margin"] < 0
+    summary = json.loads((out / "rigidity.json").read_text())
+    (check,) = [c for c in summary["checks"] if c["name"] == "extreme_n64"]
+    assert check["passed"] is False and check["margin"] < 0
     # the bounds the margin is measured from; JSON has no infinity, so an absent one is null
-    assert check["lo"] is None and check["hi"] == 0.0
+    assert check["lo"] is None and check["hi"] == summary["fits"]["extreme_threshold_n64"]
     assert check["value"] > 0 and check["margin"] == check["hi"] - check["value"]
     assert summary["passed"] is False
 
@@ -242,7 +242,7 @@ BAD_CONFIGS = [
     ("dbm-relax", "n_list = 64"),  # too few eigenvalues in the gap window
     # streams ti*10**5 + i collide across flow times
     ("dbm-relax", "n_list = 256\nsamples_per_n = 100001"),
-    ("counting", "distribution = gaussian:scale=0"),  # an all-zero matrix passes extreme
+    ("counting", "distribution = gaussian:scale=0"),  # an all-zero matrix passes the extreme bound
     ("counting", "distribution = gaussian:scale=-1"),
     # a field the runner does not read would be recorded but change nothing
     ("rigidity", "extreme_c = 3"),
@@ -256,8 +256,6 @@ BAD_CONFIGS = [
     ("dbm-relax", "n_list = 256\nt_list = 4.0,0.0,1.0"),
     ("dbm-relax", "n_list = 256\nt_list = -1.0,0.5,4.0"),
     ("dbm-relax", "n_list = 256\nt_list = 0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,4.0"),
-    ("extreme", "extreme_c = nan"),
-    ("extreme", "extreme_c = inf"),
     ("lsc", "eta_min_exponent = 0"),
     ("lsc", "eta_min_exponent = -1.0"),
     ("rigidity", "distribution_b = rademacher"),
@@ -291,7 +289,7 @@ def test_bad_config_fails_when_built(tmp_path, capsys, command, lines):
 @pytest.mark.parametrize("command, line", [
     ("dbm-relax", "t_list = 0,1,2"),
     ("lsc", "eta_min_exponent = -0.9"),
-    ("extreme", "extreme_c = 10"),
+    ("rigidity", "extreme_c = 10"),
 ])
 def test_fixed_constant_is_not_a_config_key(tmp_path, capsys, command, line):
     cfg_file = tmp_path / "run.conf"
@@ -307,7 +305,6 @@ def test_fixed_constant_is_not_a_config_key(tmp_path, capsys, command, line):
 @pytest.mark.parametrize("command, lines", [
     ("rigidity", ""),
     ("counting", ""),
-    ("extreme", ""),
     ("lsc", ""),
     ("edge", "distribution_b = rademacher"),
 ])

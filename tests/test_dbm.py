@@ -125,11 +125,17 @@ def test_semigroup_coefficient_identity():
         assert math.exp(-s / 2) * math.exp(-(t - s) / 2) == pytest.approx(math.exp(-t / 2), rel=1e-14)
 
 
-def test_endpoint_preserves_symmetry():
-    start = start_diagonal(10, seed=7)
-    for r, t in enumerate([0.1, 0.3, 0.9]):
-        h = ou_endpoint(start, t, HERMITIAN, derive_stream(7, r + 1))
-        assert np.max(np.abs(h - h.conj().T)) == 0.0
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+@pytest.mark.parametrize("n", [2, 10, 130])
+def test_endpoint_keeps_only_its_upper_triangle(symmetry, n):
+    # the sample is its upper triangle and diagonal over a strict lower
+    # triangle of +0.0, and mirrors to an exactly symmetric (Hermitian) matrix
+    start = start_diagonal(n, seed=7)
+    for r, t in enumerate([0.0, 0.1, 0.3, 0.9]):
+        ht = ou_endpoint(start, t, symmetry, derive_stream(7, r + 1))
+        assert np.tril(ht, -1).tobytes() == np.zeros_like(ht).tobytes()
+        h = WignerSample(ht, mirrored=False).h
+        assert np.array_equal(h, h.conj().T)
 
 
 def test_gap_unfolding_equispaced():

@@ -29,7 +29,6 @@ from wignerlab.experiments import (
     run_counting,
     run_dbm_relax,
     run_edge,
-    run_extreme_bound,
     run_lsc,
     run_rigidity,
     slope_fit,
@@ -136,6 +135,7 @@ def test_rigidity_stats_shapes(n):
     assert stats["scaled_max"] == 0.0
     assert stats["edge_dev"] == 0.0
     assert stats["bulk_max"] == 0.0
+    assert stats["spectral_radius"] == max(-gamma[0], gamma[-1])
 
 
 def test_rigidity_runs_below_four():
@@ -204,13 +204,16 @@ def test_edge_tests_at_the_calibrated_level(monkeypatch):
     assert check.hi == pytest.approx(c * math.sqrt((m + n) / (m * n)), rel=1e-12)
 
 
-@pytest.mark.parametrize("law, frac", [("gaussian", 0.0), ("gaussian:scale=4", 1.0)])
-def test_extreme_flags_a_rescaled_law(law, frac):
+@pytest.mark.parametrize("law, passed", [("gaussian", True), ("gaussian:scale=4", False)])
+def test_extreme_flags_a_rescaled_law(law, passed):
     # at N = 64 the threshold is 2 + c N^-2/3 (log N)^1.5 = 7.30 (c = 10); a
     # law four times too wide puts every spectrum edge near 8
-    rep = run_extreme_bound(ExperimentConfig(n_list=[64], samples_per_n=20, distribution=law))
-    assert rep.rows[0][3] == frac
-    assert rep.passed == (frac == 0.0)
+    rep = run_rigidity(ExperimentConfig(n_list=[64], samples_per_n=20, distribution=law))
+    (check,) = [c for c in rep.checks if c.name == "extreme_n64"]
+    threshold = 2.0 + load_calibration()["extreme_c"] * 64 ** (-2 / 3) * math.log(64) ** 1.5
+    assert check.hi == rep.fits["extreme_threshold_n64"] == threshold
+    assert check.passed == passed
+    assert (check.margin > 0) if passed else (check.margin < 0)
 
 
 def test_report_determinism_across_threads(tmp_path):

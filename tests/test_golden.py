@@ -37,11 +37,6 @@ GOLDEN = {
              distribution_b="rademacher", master_seed=14, threads=2),
         "e0fc405a0e5efb0040ccb08da55cb020ade56dd4e74c5f68cd7150c2f62abbf3",
     ),
-    "extreme": (
-        dict(n_list=[64, 130], samples_per_n=3, distribution="rademacher",
-             master_seed=15),
-        "b3699a9c0cfef263928e37764610dd69fb98602bbab3674751596148d1ead050",
-    ),
     "dbm-relax": (
         dict(n_list=[130], samples_per_n=2, reference_samples=3, master_seed=16),
         "1dd9a2896278f171c0b220a121a98c2bb2d9280526d00e25bbe4bb7f4d856703",
