@@ -168,9 +168,9 @@ def make_parser() -> _Parser:
         sp.add_argument("--samples", type=int, default=None, help="samples per size (default: config value)")
         sp.add_argument("--n", default=None, help="comma-separated dimensions (default: config value)")
         sp.add_argument("--threads", type=int, default=None, help=(
-            "worker threads; they overlap sampling and statistics, and eigenvalue solves at "
-            "N <= 512, each on one BLAS thread, while larger solves, eigenvectors and resolvent "
-            "products run one at a time on every BLAS thread (default: 1)"))
+            "workers for eigenvalue-only samples at N <= 512, each solve on one BLAS thread; "
+            "other phases (N > 512, and all of lsc) run one sample at a time on every BLAS "
+            "thread (default: 1)"))
         sp.add_argument("--quiet", action="store_true", help="suppress per-check output (default: off)")
 
     for name in RUNNERS:

@@ -19,7 +19,7 @@ from . import dbm
 from .profile import ProfileError, VarianceProfile, band_profile, flat_profile
 from .resolvent import control_sweep
 from .sampler import (HERMITIAN, SYMMETRIC, WignerSample, derive_stream, eigenvalue_phase,
-                      from_name, sample_indexed)
+                      from_name, sample_buffer, sample_indexed)
 from .semicircle import SpectralPoint, classical_locations, m_sc, n_sc
 
 
@@ -86,7 +86,7 @@ def profile_from_spec(spec: str, n: int) -> VarianceProfile:
         if spec == "flat":
             return flat_profile(n)
         if head == "band:w" and w.isdecimal():
-            return band_profile(n, int(w), lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
+            return band_profile(n, int(w))
     except ProfileError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown profile spec {spec!r}")
@@ -195,31 +195,28 @@ def _map_indexed(fn, count: int, threads: int) -> list:
         return list(ex.map(fn, range(count)))
 
 
-def _draw(cfg: ExperimentConfig, n: int):
-    """Sample i of the configured ensemble at dimension n, as a function of i
-    and of the array to draw it into (a fresh one by default)."""
-    p = cfg.make_profile(n)
-    d = from_name(cfg.distribution)
-    return lambda i, out=None: sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i, out)
-
-
-def monte_carlo(cfg: ExperimentConfig, n: int, statistic) -> list:
-    """statistic(eigenvalues) for samples 0..samples_per_n-1 of the configured
-    ensemble at dimension n, in sample order whatever the thread count, in
-    one eigenvalue phase. Each pool worker draws and factorizes all its
-    samples in one N×N buffer, allocated at its first sample; the buffers go
-    with the phase."""
-    draw = _draw(cfg, n)
-    dtype = complex if cfg.symmetry == HERMITIAN else float
+def monte_carlo(cfg: ExperimentConfig, n: int, statistic, draw=None,
+                eigenvalues_only: bool = True) -> list:
+    """statistic(draw(i, out)) for samples i = 0..samples_per_n-1 at dimension
+    n, in sample order whatever the thread count, in one sample phase. By
+    default draw(i, out) is sample i of the configured ensemble, a
+    ``WignerSample`` drawn into out. A phase of eigenvalue-only statistics
+    (``eigenvalues_only``) at n <= PIN_MAX_N pins BLAS to one thread and runs
+    on ``cfg.threads`` pool workers; any other phase runs its samples one at
+    a time on every BLAS thread. Each worker draws all its samples into one
+    N×N buffer, allocated at its first sample; the buffers go with the phase."""
+    if draw is None:
+        p, d = cfg.make_profile(n), from_name(cfg.distribution)
+        draw = lambda i, out: sample_indexed(p, d, cfg.symmetry, cfg.master_seed, i, out)
     worker = threading.local()
 
     def one(i):
         if not hasattr(worker, "h"):
-            worker.h = np.empty((n, n), dtype)
-        return statistic(draw(i, worker.h).eigenvalues())
+            worker.h = sample_buffer(n, cfg.symmetry)
+        return statistic(draw(i, worker.h))
 
-    with eigenvalue_phase(n):
-        return _map_indexed(one, cfg.samples_per_n, cfg.threads)
+    with eigenvalue_phase(n, eigenvalues_only) as pinned:
+        return _map_indexed(one, cfg.samples_per_n, cfg.threads if pinned else 1)
 
 
 def fmean(xs) -> float:
@@ -294,15 +291,12 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
             math.sqrt(m_sc(z).imag / (n * z.eta)) + 1.0 / (n * z.eta) for z in pts
         ]
 
-        draw = _draw(cfg, n)
+        def one(s):
+            return [(snap.lam, snap.lambda_o / denom)
+                    for snap, denom in zip(control_sweep(s, pts), denoms)]
 
-        def one(i):
-            return [
-                (snap.lam, snap.lambda_o / denom)
-                for snap, denom in zip(control_sweep(draw(i), pts), denoms)
-            ]
-
-        per_sample = _map_indexed(one, cfg.samples_per_n, cfg.threads)
+        # eigen_pair and the resolvent GEMMs run on every BLAS thread
+        per_sample = monte_carlo(cfg, n, one, eigenvalues_only=False)
         med_by_e = {}
         for k, z in enumerate(pts):
             lams = [ps[k][0] for ps in per_sample]
@@ -373,7 +367,7 @@ def run_rigidity(cfg: ExperimentConfig) -> ExperimentReport:
     med_edge, med_center = [], []
     for n in cfg.n_list:
         gamma = classical_locations(n)
-        stats = monte_carlo(cfg, n, lambda w: rigidity_stats(w, gamma))
+        stats = monte_carlo(cfg, n, lambda s: rigidity_stats(s.eigenvalues(), gamma))
         me = median([s["edge_dev"] for s in stats])
         mc = median([s["center_dev"] for s in stats])
         mb = median([s["bulk_max"] for s in stats])
@@ -403,7 +397,7 @@ def run_counting(cfg: ExperimentConfig) -> ExperimentReport:
     columns = ["n", "samples", "median_sup", "p95_sup", "sup_over_log2"]
     rows, checks = [], []
     for n in cfg.n_list:
-        sups = monte_carlo(cfg, n, counting_sup)
+        sups = monte_carlo(cfg, n, lambda s: counting_sup(s.eigenvalues()))
         med = median(sups)
         ratio = med / math.log(n) ** calib["polylog_exponent"]
         rows.append((n, len(sups), med, nearest_rank_quantile(sups, 0.95), ratio))
@@ -442,7 +436,7 @@ def run_edge(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.n_list[0]
     cfg_b = replace(cfg, distribution=cfg.distribution_b, master_seed=cfg.master_seed + 1)
     top_k = min(3, n)  # the three largest eigenvalues; at N = 2 there are two
-    fluct = lambda w: edge_fluctuations(w, top_k)
+    fluct = lambda s: edge_fluctuations(s.eigenvalues(), top_k)
     xa = np.array(monte_carlo(cfg, n, fluct))
     xb = np.array(monte_carlo(cfg_b, n, fluct))
     stat, crit = ks_two_sample(xa[:, 0], xb[:, 0], calib["edge_alpha"])
@@ -502,9 +496,11 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     columns = ["t", "ks", "n_gaps", "offdiag_var_z", "diag_var_z"]
     rows = []
     for ti, t in enumerate(t_list):
-        def one(i, t=t, ti=ti):
+        def draw(i, out):
             stream = derive_stream(cfg.master_seed, ti * 10**5 + i)
-            ht = dbm.ou_endpoint(gamma, t, cfg.symmetry, stream)
+            return dbm.ou_endpoint(gamma, t, cfg.symmetry, stream, out)
+
+        def one(ht):
             off_mean = upper_mean_square(ht) * n
             diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
             # factorizing overwrites ht, so it comes last; diag(gamma) (t = 0) has spectrum gamma
@@ -512,8 +508,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             gaps = dbm.gap_distribution(eigs, dbm.GAP_WINDOW)
             return gaps, off_mean, diag_dev
 
-        with eigenvalue_phase(n):
-            results = _map_indexed(one, cfg.samples_per_n, cfg.threads)
+        results = monte_carlo(cfg, n, one, draw)
         pooled = np.concatenate([r[0] for r in results])
         ks, _ = ks_two_sample(pooled, reference)
         target = 1.0 - math.exp(-t)

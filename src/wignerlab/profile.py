@@ -95,26 +95,21 @@ def flat_profile(n: int) -> VarianceProfile:
     return VarianceProfile(np.full(n, 1.0 / n), "flat")
 
 
-def band_profile(n: int, w: int, f) -> VarianceProfile:
-    """Band profile with bandwidth ``w`` and symmetric shape function ``f``.
+def band_profile(n: int, w: int) -> VarianceProfile:
+    """Band profile with bandwidth ``w``: the box shape 0.5 * 1{|x| <= 1}.
 
-    Raw variances are f([i-j]_n / w) / w with [i-j]_n the symmetric mod-n
-    representative; the common circulant row sum is then divided out so
-    double stochasticity holds exactly at finite n.
+    Raw variances are 0.5 / w at the offsets [i-j]_n with |[i-j]_n| <= w,
+    [i-j]_n the symmetric mod-n representative, and 0 elsewhere; the common
+    circulant row sum is then divided out so double stochasticity holds
+    exactly at finite n.
     """
     if n < 2:
         raise ProfileError(f"dimension {n} < 2")
     if not 1 <= w <= n // 2:
         raise ProfileError(f"band width {w} outside [1, {n // 2}]")
     offsets = symmetric_offsets(n)
-    weights = np.array([f(d / w) / w for d in offsets], dtype=float)
-    if np.any(weights < 0):
-        bad = offsets[int(np.argmin(weights))]
-        raise ProfileError(f"shape function negative at offset {bad}")
-    total = weights.sum()
-    if total <= 0:
-        raise ProfileError("shape function vanishes on all admissible offsets")
-    weights /= total
+    weights = np.where(np.abs(offsets) <= w, 0.5 / w, 0.0)
+    weights /= weights.sum()
     # c[k]: the weight at offset [k]_n
     return VarianceProfile(np.roll(weights, offsets[0]), "band")
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import BLAS_LOCK, WignerSample
+from .sampler import WignerSample
 from .semicircle import SpectralPoint, m_sc
 
 
@@ -49,11 +49,11 @@ class _Resolvent:
     Real U (symmetric class) gives a complex symmetric G, so only its upper
     triangle is computed: with B = diag(1/(w - z)) U^T, G[lo:hi, lo:] is one
     real GEMM of U[lo:hi] with the float view of B[:, lo:]. Complex U
-    (Hermitian class) takes one complex GEMM for all of G. The GEMMs hold
-    ``BLAS_LOCK``. The layout of a GEMM operand sets the product's last
-    bits, so each has one layout whatever the order of U (``eigen_pair``
-    gives a Fortran-ordered U): the real class holds U and U^T both
-    C-ordered, and U^H is the transpose of a C-ordered conj(U).
+    (Hermitian class) takes one complex GEMM for all of G. The layout of a
+    GEMM operand sets the product's last bits, so each has one layout
+    whatever the order of U (``eigen_pair`` gives a Fortran-ordered U): the
+    real class holds U and U^T both C-ordered, and U^H is the transpose of a
+    C-ordered conj(U).
     """
 
     def __init__(self, w: np.ndarray, u: np.ndarray):
@@ -75,8 +75,7 @@ class _Resolvent:
         n = self.n
         if not self.real:
             np.multiply(self.u, inv, out=self.scaled)
-            with BLAS_LOCK:
-                np.matmul(self.scaled, self.uh, out=self.g)
+            np.matmul(self.scaled, self.uh, out=self.g)
             for lo in range(0, n, _STRIP):
                 yield lo, 0, self.g[lo:lo + _STRIP]
             return
@@ -86,8 +85,7 @@ class _Resolvent:
         for lo in range(0, n, _STRIP):
             hi = min(lo + _STRIP, n)
             g = self.g[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-            with BLAS_LOCK:
-                np.matmul(self.u[lo:hi], b[:, 2 * lo:], out=g.view(np.float64))
+            np.matmul(self.u[lo:hi], b[:, 2 * lo:], out=g.view(np.float64))
             yield lo, lo, g
 
 

@@ -124,40 +124,36 @@ def from_name(name: str) -> EntryDistribution:
 
 
 # OpenBLAS runs a factorization or GEMM on all its threads, so two at once
-# oversubscribe the cores. They hold this lock, never nested; pool workers
-# overlap the rest. An eigenvalue phase at N <= PIN_MAX_N holds it throughout
-# instead, with OpenBLAS on one thread, and its solves take no lock.
+# oversubscribe the cores. A sample phase holds this lock from start to end,
+# so two phases, even in two Python threads, never overlap or interleave a
+# pin's save and restore.
 BLAS_LOCK = threading.Lock()
 
 # Up to this N a solve gains little from a second BLAS thread, so an
 # eigenvalue phase pins BLAS to one thread and each pool worker solves its own.
 PIN_MAX_N = 512
 
-_pinned = False  # process-wide, like OpenBLAS's thread count: a phase is on
-
 
 @contextlib.contextmanager
-def eigenvalue_phase(n: int):
-    """Scope of a phase whose only BLAS calls are ``eigenvalues()`` at
-    dimension n. At n <= PIN_MAX_N it holds ``BLAS_LOCK`` with OpenBLAS on one
-    thread, so the pool's solves skip the lock and run concurrently, with bits
-    independent of the pool and of the host's thread count, which is restored
-    on exit. Never nested; a ``BLAS_LOCK`` call in it (``eigen_pair()``)
-    would deadlock."""
-    global _pinned
-    threads = _lapack().get("threads")
-    if n > PIN_MAX_N or threads is None:
-        yield
-        return
-    get, set_ = threads
+def eigenvalue_phase(n: int, eigenvalues_only: bool = True):
+    """Scope of a sample phase at dimension n, which holds ``BLAS_LOCK`` and
+    yields whether it pinned. A phase whose only BLAS calls are
+    ``eigenvalues()`` at n <= PIN_MAX_N pins OpenBLAS to one thread, so a
+    pool's solves can run concurrently, with bits independent of the pool and
+    of the host's thread count, which is restored on exit. Any other phase
+    leaves the host's count alone, and its samples must run one at a time.
+    Never nested: a nested phase would deadlock."""
     with BLAS_LOCK:
+        threads = _lapack().get("threads")
+        if not eigenvalues_only or n > PIN_MAX_N or threads is None:
+            yield False
+            return
+        get, set_ = threads
         host = get()
         set_(1)
-        _pinned = True
         try:
-            yield
+            yield True
         finally:
-            _pinned = False
             set_(host)
 
 
@@ -202,18 +198,14 @@ class WignerSample:
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
             h, self._h = self._live(), None
-            with contextlib.nullcontext() if _pinned else BLAS_LOCK:
-                w = eigvalsh_inplace(h)
-            self._eigenvalues = _finite(w)
+            self._eigenvalues = _finite(eigvalsh_inplace(h))
         return self._eigenvalues
 
     def eigen_pair(self):
         """(w, U) with the bits of numpy's ``eigh`` of h, from a copy of h that
         ``eigh_inplace`` overwrites; h is kept."""
         if self._eigenvectors is None:
-            a = self._live().copy()
-            with BLAS_LOCK:
-                w, u = eigh_inplace(a)
+            w, u = eigh_inplace(self._live().copy())
             self._eigenvalues, self._eigenvectors = _finite(w), u
         return self._eigenvalues, self._eigenvectors
 
@@ -251,7 +243,7 @@ def _lapack() -> dict:
     sterf.argtypes, sterf.restype = [i64, ptr, ptr, i64], None  # n, d, e, info
     try:
         get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except AttributeError:  # no pin: every solve stays on BLAS_LOCK
+    except AttributeError:  # no pin: every phase runs its samples one at a time
         return {**routines, "sterf": sterf}
     get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
     return {**routines, "sterf": sterf, "threads": (get, set_)}
@@ -323,8 +315,8 @@ def _evd(h: np.ndarray, jobz: bytes) -> np.ndarray | None:
 def eigvalsh_tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the real symmetric tridiagonal matrix with
     diagonal d and off-diagonal e, written over d by LAPACK's ``dsterf`` in
-    O(n^2) (e is its workspace). It calls no BLAS, so it takes no ``BLAS_LOCK``;
-    without numpy's bundled LAPACK, numpy's ``eigvalsh`` of the dense matrix runs."""
+    O(n^2) (e is its workspace), with no BLAS call; without numpy's bundled
+    LAPACK, numpy's ``eigvalsh`` of the dense matrix runs."""
     if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
         raise ValueError(f"diagonal {d.shape} and off-diagonal {e.shape} do not match")
     fn = _lapack().get("sterf")
@@ -344,6 +336,23 @@ def derive_stream(master_seed: int, sample_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def sample_buffer(n: int, symmetry: str, out: np.ndarray | None = None) -> np.ndarray:
+    """An array that can hold an n×n sample of the symmetry class: ``out``,
+    which must be a writeable C-ordered n×n array of the class's dtype
+    (float64, or complex128 if Hermitian), or a fresh one if None."""
+    dtype = {SYMMETRIC: np.dtype(float), HERMITIAN: np.dtype(complex)}.get(symmetry)
+    if dtype is None:
+        raise ValueError(f"unknown symmetry class {symmetry!r}")
+    if out is None:
+        return np.empty((n, n), dtype)
+    if out.shape != (n, n) or out.dtype != dtype or not (
+        out.flags.c_contiguous and out.flags.writeable
+    ):
+        raise ValueError(f"out must be a writeable C-contiguous {dtype} array of shape "
+                         f"{(n, n)}, not {out.dtype} {out.shape}")
+    return out
+
+
 def sample_matrix(
     p: VarianceProfile,
     d: EntryDistribution,
@@ -358,29 +367,15 @@ def sample_matrix(
     a sample reads m + n values of its stream, or 2m + n if Hermitian. The
     lower triangle is left unfilled until the sample's ``h`` is read.
 
-    ``out``, a writeable C-ordered n×n array of the class's dtype (float64,
-    or complex128 if Hermitian), becomes h: its upper triangle and diagonal
-    are overwritten and its lower triangle is never read, so whatever it
-    held gives the bits of a fresh array.
+    ``out``, checked by ``sample_buffer``, becomes h: its upper triangle and
+    diagonal are overwritten and its lower triangle is never read, so
+    whatever it held gives the bits of a fresh array.
     """
     n = p.n
     m = n * (n - 1) // 2
-    if symmetry == SYMMETRIC:
-        dtype, var = np.dtype(float), p.c
-    elif symmetry == HERMITIAN:
-        # independent real and imaginary parts, each of variance sigma2/2
-        dtype, var = np.dtype(complex), p.c / 2.0
-    else:
-        raise ValueError(f"unknown symmetry class {symmetry!r}")
-    if out is None:
-        h = np.empty((n, n), dtype)
-    elif out.shape != (n, n) or out.dtype != dtype or not (
-        out.flags.c_contiguous and out.flags.writeable
-    ):
-        raise ValueError(f"out must be a writeable C-contiguous {dtype} array of shape "
-                         f"{(n, n)}, not {out.dtype} {out.shape}")
-    else:
-        h = out
+    h = sample_buffer(n, symmetry, out)
+    # Hermitian: independent real and imaginary parts, each of variance sigma2/2
+    var = p.c if symmetry == SYMMETRIC else p.c / 2.0
     # the draws fill the last m entries of h itself; row i's target
     # h[i, i+1:] ends at entry n(i+1) <= n^2 - (n-1-i)(n-i)/2, before its own
     # draws and every later row's, so no row overwrites draws still unread

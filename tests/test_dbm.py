@@ -138,6 +138,30 @@ def test_endpoint_keeps_only_its_upper_triangle(symmetry, n):
         assert np.array_equal(h, h.conj().T)
 
 
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+def test_endpoint_into_a_stale_buffer_matches_a_fresh_call(symmetry):
+    # out= overwrites every entry: a buffer of NaN gives a fresh call's bytes,
+    # over a strict lower triangle of +0.0, at t = 0 as at t > 0
+    n = 130
+    start = start_diagonal(n, seed=3)
+    for r, t in enumerate([0.0, 0.5 / n, 0.7]):
+        out = np.empty((n, n), complex if symmetry == HERMITIAN else float)
+        out.view(float).fill(np.nan)
+        ht = ou_endpoint(start, t, symmetry, derive_stream(3, r), out=out)
+        fresh = ou_endpoint(start, t, symmetry, derive_stream(3, r))
+        assert ht is out and ht.dtype == fresh.dtype
+        assert ht.tobytes() == fresh.tobytes()
+        assert np.tril(ht, -1).tobytes() == np.zeros_like(ht).tobytes()
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_endpoint_rejects_an_unusable_out(t):
+    start = start_diagonal(8)
+    for out in (np.zeros((8, 8), complex), np.zeros((8, 9)), np.zeros((8, 8), order="F")):
+        with pytest.raises(ValueError, match="out must be"):
+            ou_endpoint(start, t, SYMMETRIC, derive_stream(1, 0), out=out)
+
+
 def test_gap_unfolding_equispaced():
     # equispaced eigenvalues at spacing (n rho)^-1 give unit unfolded gaps
     n = 400

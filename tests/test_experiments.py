@@ -284,7 +284,7 @@ def _blas_threads():
 
 def test_unpinned_blas_calls_run_one_at_a_time(monkeypatch):
     """lsc's eigh and resolvent products, and solves above PIN_MAX_N, never
-    overlap: each takes BLAS_LOCK and every BLAS thread."""
+    overlap: their phases run one sample at a time on every BLAS thread."""
     state = _count_overlap(monkeypatch, [(np.linalg, "eigvalsh"), (sampler, "eigvalsh_inplace"),
                                          (sampler, "eigh_inplace"), (np, "matmul")])
     n = sampler.PIN_MAX_N + 1
@@ -297,6 +297,30 @@ def test_unpinned_blas_calls_run_one_at_a_time(monkeypatch):
         state.update(peak=0, calls=0)
         runner(ExperimentConfig(**{"samples_per_n": 8, **cfg, "threads": 4}))
         assert state["calls"] > 0 and state["peak"] == 1, (runner.__name__, state)
+
+
+def test_unpinned_statistics_run_on_the_calling_thread(monkeypatch):
+    """A phase that leaves BLAS on the host's threads runs its samples one at
+    a time, whatever --threads: counting above PIN_MAX_N and lsc at every N
+    call each statistic on the thread that runs the runner."""
+    idents = []
+
+    def on_thread(fn):
+        def wrapper(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "counting_sup", on_thread(experiments.counting_sup))
+    monkeypatch.setattr(experiments, "control_sweep", on_thread(experiments.control_sweep))
+    runs = [
+        (run_counting, dict(n_list=[sampler.PIN_MAX_N + 1])),
+        (run_lsc, dict(n_list=[8], eta_count=3)),
+    ]
+    for runner, cfg in runs:
+        idents.clear()
+        runner(ExperimentConfig(**cfg, samples_per_n=8, threads=4))
+        assert idents == [threading.get_ident()] * 8, runner.__name__
 
 
 def test_pinned_solves_run_concurrently_on_one_blas_thread(monkeypatch):
@@ -339,12 +363,20 @@ def test_monte_carlo_draws_into_one_buffer_per_worker(monkeypatch, threads):
         return solve(h)
 
     monkeypatch.setattr(sampler, "eigvalsh_inplace", recording)
-    assert monte_carlo(cfg, n, lambda w: w.tobytes()) == want
+    assert monte_carlo(cfg, n, lambda s: s.eigenvalues().tobytes()) == want
     assert len(seen) == count
     assert len({h.ctypes.data for h in seen}) <= min(threads, count)
     alive = [weakref.ref(h) for h in seen]
     seen.clear()
     assert all(ref() is None for ref in alive)
+    # the flow draws into the workers' buffers too: each flow time after the
+    # start (which factorizes nothing) solves its samples in turn
+    run_dbm_relax(ExperimentConfig(n_list=[96], samples_per_n=count, reference_samples=1,
+                                   threads=threads))
+    assert len(seen) == 4 * count
+    for k in range(4):
+        flow_time = seen[k * count:(k + 1) * count]
+        assert len({h.ctypes.data for h in flow_time}) <= min(threads, count), k
 
 
 def test_runners_restore_host_blas_threads():
@@ -367,7 +399,7 @@ def test_runners_restore_host_blas_threads():
             with pytest.raises(ArithmeticError):
                 monte_carlo(ExperimentConfig(n_list=[16], samples_per_n=2, threads=threads), 16, bad)
             assert get() == want
-            assert not sampler.BLAS_LOCK.locked() and not sampler._pinned
+            assert not sampler.BLAS_LOCK.locked()
     finally:
         set_(host)
 
@@ -434,7 +466,7 @@ def test_monte_carlo_matches_serial_draws():
     d = from_name("rademacher")
     want = [sample_indexed(p, d, "hermitian", 21, i).eigenvalues() for i in range(5)]
     for threads in (1, 3):
-        got = monte_carlo(ExperimentConfig(**base, threads=threads), 40, lambda w: w)
+        got = monte_carlo(ExperimentConfig(**base, threads=threads), 40, lambda s: s.eigenvalues())
         assert len(got) == len(want)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 

@@ -14,10 +14,6 @@ from wignerlab.profile import (
 )
 
 
-def indicator_half(x):
-    return 0.5 if abs(x) <= 1.0 else 0.0
-
-
 def test_flat_entries():
     p = flat_profile(4)
     assert np.all(p.sigma2 == 0.25)
@@ -43,7 +39,7 @@ def test_flat_spectral_gap():
 
 def test_band_indicator_example():
     # n=8, w=2: admissible offsets -2..2, raw row sum 5/4, normalized to 1/5
-    p = band_profile(8, 2, indicator_half)
+    p = band_profile(8, 2)
     assert p.sigma2[0, 0] == pytest.approx(0.2)
     assert p.sigma2[0, 2] == pytest.approx(0.2)
     assert p.sigma2[0, 6] == pytest.approx(0.2)  # wraparound offset -2
@@ -53,15 +49,16 @@ def test_band_indicator_example():
 
 def test_band_half_bandwidth_close_to_flat():
     n = 8
-    p = band_profile(n, n // 2, indicator_half)
+    p = band_profile(n, n // 2)
     assert np.all(p.sigma2 > 0)
     assert np.allclose(p.sigma2.sum(axis=0), 1.0, atol=1e-12)
 
 
-def _dense_band(n, w, f):
-    """The N x N construction band_profile used before its circulant view."""
+def _dense_band(n, w):
+    """The N x N construction band_profile used before its circulant view,
+    with its box shape 0.5 * 1{|x| <= 1}."""
     offsets = symmetric_offsets(n)
-    weights = np.array([f(d / w) / w for d in offsets], dtype=float)
+    weights = np.array([(0.5 if abs(d / w) <= 1.0 else 0.0) / w for d in offsets], dtype=float)
     weights /= weights.sum()
     idx = np.arange(n)
     d = (idx[:, None] - idx[None, :]) % n
@@ -85,12 +82,10 @@ _BANDS = [(16, 3), (17, 4), (32, 8)] + sorted(
 
 @pytest.mark.parametrize("n,w", _BANDS)
 def test_band_column_sums(n, w):
-    # a shape that gives every |offset| its own weight pins the orientation
-    for f in [indicator_half, lambda x: 1.0 / (1.0 + x * x)]:
-        p = band_profile(n, w, f)
-        assert np.allclose(p.sigma2.sum(axis=0), 1.0, atol=1e-12)
-        assert np.allclose(p.sigma2, p.sigma2.T)
-        _assert_same_as_dense(p, _dense_band(n, w, f))
+    p = band_profile(n, w)
+    assert np.allclose(p.sigma2.sum(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(p.sigma2, p.sigma2.T)
+    _assert_same_as_dense(p, _dense_band(n, w))
 
 
 @pytest.mark.parametrize("n", _SIZES)
@@ -99,7 +94,7 @@ def test_flat_matches_dense_formula(n):
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: flat_profile(1024), lambda: band_profile(1024, 64, indicator_half)],
+    "build", [lambda: flat_profile(1024), lambda: band_profile(1024, 64)],
     ids=["flat", "band"],
 )
 def test_profiles_take_linear_storage(build):
@@ -117,23 +112,18 @@ def test_profiles_take_linear_storage(build):
         p.c[0] = 1.0
 
 
-def test_band_negative_shape_rejected():
-    with pytest.raises(ProfileError):
-        band_profile(8, 2, lambda x: -1.0)
-
-
 def test_band_bandwidth_range():
     with pytest.raises(ProfileError):
-        band_profile(8, 5, indicator_half)
+        band_profile(8, 5)
     with pytest.raises(ProfileError):
-        band_profile(8, 0, indicator_half)
+        band_profile(8, 0)
 
 
 def test_band_spectrum_matches_circulant_fourier():
     # the report reads Spec(B) off the DFT of the first column; the dense
     # eigensolve of sigma2 is the oracle
     n, w = 64, 16
-    p = band_profile(n, w, indicator_half)
+    p = band_profile(n, w)
     dense = np.linalg.eigvalsh(np.array(p.sigma2))
     rep = assumption_report(p)
     assert rep.eigenvalue_one_simple
@@ -146,7 +136,7 @@ def test_band_spectrum_matches_circulant_fourier():
 @pytest.mark.parametrize("make", [
     lambda: flat_profile(16),
     lambda: flat_profile(33),
-    lambda: band_profile(65, 7, indicator_half),  # odd N: no Nyquist frequency
+    lambda: band_profile(65, 7),  # odd N: no Nyquist frequency
 ], ids=["flat16", "flat33", "band65w7"])
 def test_spectrum_matches_dense_eigvalsh(make):
     p = make()
@@ -203,7 +193,7 @@ def test_profiles_compare_and_hash_by_value():
     assert hash(flat_profile(4)) == hash(flat_profile(4))
     assert len({flat_profile(4), flat_profile(4), flat_profile(6)}) == 2
     assert flat_profile(4) != VarianceProfile(np.full(4, 0.25), "custom")
-    assert band_profile(8, 2, indicator_half) != flat_profile(8)
+    assert band_profile(8, 2) != flat_profile(8)
     assert flat_profile(4) != "flat"
 
 
@@ -225,7 +215,7 @@ def test_column_sum_tolerance(sign):
 
 
 def test_content_hash_is_sha256_of_sigma2():
-    p = band_profile(16, 4, indicator_half)
+    p = band_profile(16, 4)
     want = hashlib.sha256(p.sigma2.tobytes()).hexdigest()[:16]
     assert p.content_hash() == want
     assert flat_profile(16).content_hash() != want

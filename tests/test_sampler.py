@@ -193,7 +193,7 @@ def _custom_sparse(n):
 
 
 def _band(n):
-    return band_profile(n, max(1, n // 8), lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
+    return band_profile(n, max(1, n // 8))
 
 
 _LAWS = [gaussian(), rademacher(), uniform(), two_point(0.3)]
@@ -335,8 +335,7 @@ def test_sample_into_a_stale_buffer_matches_a_fresh_array(symmetry, w, law, stal
     buffer of NaN, or one holding an earlier sample's LAPACK output, gives the
     fresh array's h and eigenvalue bytes."""
     n = 130
-    p = flat_profile(n) if w is None else band_profile(
-        n, w, lambda x: 0.5 if abs(x) <= 1.0 else 0.0)
+    p = flat_profile(n) if w is None else band_profile(n, w)
     buf = np.empty((n, n), complex if symmetry == HERMITIAN else float)
     if stale == "nan":
         buf.view(float).fill(np.nan)
