@@ -7,13 +7,15 @@ an independent Gaussian matrix of entry variance 1/N.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 
 import numpy as np
 
 from .profile import flat_profile
-from .sampler import (HERMITIAN, SYMMETRIC, eigvalsh_tridiagonal, gaussian, sample_buffer,
-                      sample_matrix)
+from .sampler import (HERMITIAN, SYMMETRIC, _lapack, eigenvalue_phase, eigvalsh_tridiagonal,
+                      gaussian, sample_buffer, sample_matrix)
 from .semicircle import rho_sc
 
 
@@ -93,24 +95,49 @@ def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> np.ndarra
     return np.diff(lam) * n * rho_sc(lam[:-1])
 
 
+def _beta_hermite(n: int, symmetry: str, stream: np.random.Generator):
+    """Diagonal d and off-diagonal e of ``gaussian_ensemble_spectrum``'s model,
+    in its draw order."""
+    beta = {SYMMETRIC: 1, HERMITIAN: 2}.get(symmetry)
+    if beta is None:
+        raise ValueError(f"unknown symmetry class {symmetry!r}")
+    d = stream.standard_normal(n) * math.sqrt(2.0 / (beta * n))
+    e = np.sqrt(stream.chisquare(beta * np.arange(n - 1, 0, -1)) / (beta * n))
+    return d, e
+
+
 def gaussian_ensemble_spectrum(n: int, symmetry: str, stream: np.random.Generator) -> np.ndarray:
     """Ascending eigenvalues of one GOE (symmetric) or GUE (hermitian) matrix with
     off-diagonal variance 1/n, from the beta-Hermite tridiagonal model (beta = 1, 2),
     whose spectrum has exactly that law (Dumitriu and Edelman, J. Math. Phys. 43
     (2002) 5830): d_i = sqrt(2/(beta n)) g_i, e_k = sqrt(chi^2_{beta(n-k)}/(beta n)).
     Draw order: the n normals g_i, then the n - 1 chi-square values, k = 1..n-1."""
-    beta = {SYMMETRIC: 1, HERMITIAN: 2}.get(symmetry)
-    if beta is None:
-        raise ValueError(f"unknown symmetry class {symmetry!r}")
-    d = stream.standard_normal(n) * math.sqrt(2.0 / (beta * n))
-    e = np.sqrt(stream.chisquare(beta * np.arange(n - 1, 0, -1)) / (beta * n))
-    return eigvalsh_tridiagonal(d, e)
+    return eigvalsh_tridiagonal(*_beta_hermite(n, symmetry, stream))
 
 
 def equilibrium_gap_reference(
     n: int, symmetry: str, samples: int, stream: np.random.Generator
 ) -> np.ndarray:
     """Pooled unfolded GAP_WINDOW gaps of ``samples`` GOE/GUE spectra from
-    ``gaussian_ensemble_spectrum``, drawn in turn from the one stream."""
-    spectra = (gaussian_ensemble_spectrum(n, symmetry, stream) for _ in range(samples))
-    return np.concatenate([gap_distribution(w, GAP_WINDOW) for w in spectra])
+    ``gaussian_ensemble_spectrum``, drawn in turn from the one stream and
+    concatenated in that order.
+
+    One sample phase that keeps the host's BLAS thread count. ``dsterf`` calls
+    no BLAS, so it uses those threads across calls: the spectra are solved
+    side by side, as many at once as OpenBLAS has threads, or one at a time
+    without its thread count getter. Each spectrum is drawn when a worker
+    takes it, under a lock, so the draws follow the serial order and the
+    bytes do not depend on the width."""
+    from .experiments import _map_indexed  # experiments imports this module
+
+    lock, order, gaps = threading.Lock(), itertools.count(), [None] * samples
+
+    def one(_):
+        with lock:
+            k, (d, e) = next(order), _beta_hermite(n, symmetry, stream)
+        gaps[k] = gap_distribution(eigvalsh_tridiagonal(d, e), GAP_WINDOW)
+
+    with eigenvalue_phase(n, eigenvalues_only=False):
+        threads = _lapack().get("threads")
+        _map_indexed(one, samples, threads[0]() if threads else 1)
+    return np.concatenate(gaps)

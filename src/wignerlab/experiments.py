@@ -292,6 +292,7 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
         ]
 
         def one(s):
+            s.eigen_pair(consume=True)  # control_sweep never reads h
             return [(snap.lam, snap.lambda_o / denom)
                     for snap, denom in zip(control_sweep(s, pts), denoms)]
 

@@ -141,7 +141,7 @@ def eigenvalue_phase(n: int, eigenvalues_only: bool = True):
     ``eigenvalues()`` at n <= PIN_MAX_N pins OpenBLAS to one thread, so a
     pool's solves can run concurrently, with bits independent of the pool and
     of the host's thread count, which is restored on exit. Any other phase
-    leaves the host's count alone, and its samples must run one at a time.
+    leaves the host's count alone, and its BLAS calls must run one at a time.
     Never nested: a nested phase would deadlock."""
     with BLAS_LOCK:
         threads = _lapack().get("threads")
@@ -175,7 +175,7 @@ class WignerSample:
 
     def _live(self) -> np.ndarray:
         if self._h is None:
-            raise RuntimeError("sample consumed: eigenvalues() overwrote h; call eigen_pair() first")
+            raise RuntimeError("sample consumed: a solve overwrote h; call eigen_pair() first")
         return self._h
 
     @property
@@ -193,7 +193,7 @@ class WignerSample:
 
     @property
     def n(self) -> int:
-        return self._live().shape[0]
+        return (self._live() if self._eigenvectors is None else self._eigenvectors).shape[0]
 
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
@@ -201,11 +201,16 @@ class WignerSample:
             self._eigenvalues = _finite(eigvalsh_inplace(h))
         return self._eigenvalues
 
-    def eigen_pair(self):
+    def eigen_pair(self, consume: bool = False):
         """(w, U) with the bits of numpy's ``eigh`` of h, from a copy of h that
-        ``eigh_inplace`` overwrites; h is kept."""
+        ``eigh_inplace`` overwrites; h is kept. With ``consume`` h itself is
+        overwritten, as by ``eigenvalues()``, and U is a view of its memory;
+        ``n`` stays readable."""
         if self._eigenvectors is None:
-            w, u = eigh_inplace(self._live().copy())
+            h = self._live()
+            if consume:
+                self._h = None
+            w, u = eigh_inplace(h if consume else h.copy())
             self._eigenvalues, self._eigenvectors = _finite(w), u
         return self._eigenvalues, self._eigenvectors
 

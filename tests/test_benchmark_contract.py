@@ -11,9 +11,13 @@ import importlib.util
 import inspect
 import json
 import sys
+import threading
 from pathlib import Path
 
-from wignerlab import cli, experiments
+import numpy as np
+import pytest
+
+from wignerlab import cli, experiments, sampler
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,3 +103,67 @@ def test_report_json_has_the_keys_run_reads(tmp_path):
     assert report["checks"]
     for check in report["checks"]:
         assert isinstance(check["name"], str) and isinstance(check["passed"], bool)
+
+
+def _undo_on_teardown(monkeypatch):
+    """Register every function `Tracer.install()` may rebind, so that the
+    test's teardown restores the untraced library."""
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith("wignerlab."):
+            continue
+        for attr, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj):
+                monkeypatch.setattr(mod, attr, obj)
+            elif inspect.isclass(obj) and obj.__module__.startswith("wignerlab"):
+                for a, member in list(vars(obj).items()):
+                    if inspect.isfunction(member):
+                        monkeypatch.setattr(obj, a, member)
+    for key, fn in experiments.RUNNERS.items():
+        monkeypatch.setitem(experiments.RUNNERS, key, fn)
+    for attr in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, attr, getattr(np.linalg, attr))
+
+
+def test_every_runner_runs_traced(monkeypatch):
+    """The tracer reads each wrapped call's first argument after the call; a
+    runner must leave it readable (lsc passes control_sweep a sample whose h
+    it has consumed)."""
+    _undo_on_teardown(monkeypatch)
+    tracer = _tracer().Tracer()
+    tracer.install()
+    for name, runner in experiments.RUNNERS.items():
+        n = 96 if name == "dbm-relax" else 16
+        runner(experiments.ExperimentConfig(n_list=[n], samples_per_n=2, eta_count=3,
+                                            reference_samples=1, distribution_b="rademacher"))
+    assert {s[1] for s in tracer.spans} >= {"resolvent.control_sweep", "experiments.runner"}
+
+
+def test_traced_reference_solves_nest_under_the_reference(monkeypatch):
+    """The reference's solves run in pool threads; the tracer's map wrapper
+    carries the reference's span into them, so every tridiagonal solve is its
+    child and `layer.dbm` does not count the solves that `layer.sampler` counts."""
+    threads = sampler._lapack().get("threads")
+    if threads is None:
+        pytest.skip("OpenBLAS exports no thread count setter")
+    get, set_ = threads
+    _undo_on_teardown(monkeypatch)
+    tracer = _tracer().Tracer()
+    tracer.install()
+    host = get()
+    set_(2)
+    try:
+        cfg = experiments.ExperimentConfig(n_list=[128], samples_per_n=2, reference_samples=4)
+        experiments.RUNNERS["dbm-relax"](cfg)
+    finally:
+        set_(host)
+    spans = {s[0]: s for s in tracer.spans}
+    solves = [s for s in tracer.spans if s[1] == "sampler.eigvalsh_tridiagonal"]
+    assert len(solves) == 4
+    assert all(s[5] != threading.get_ident() for s in solves)  # in the pool
+    references = {s[0] for s in tracer.spans if s[1] == "dbm.equilibrium_gap_reference"}
+    assert len(references) == 1
+    for solve in solves:
+        parent = solve[4]
+        while parent and parent not in references:
+            parent = spans[parent][4]
+        assert parent in references, solve

@@ -1,10 +1,12 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wignerlab import sampler
 from wignerlab.dbm import (
     GAP_WINDOW,
     FlowError,
@@ -215,6 +217,31 @@ def test_reference_gaps_match_dense_gaussian_ensemble(symmetry):
     reference = equilibrium_gap_reference(n, symmetry, m, derive_stream(12, 1))
     ks, critical = ks_two_sample(np.concatenate(dense), reference)
     assert ks < critical
+
+
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+@pytest.mark.parametrize("blas_threads", [1, 2, 4])
+def test_reference_bytes_match_a_serial_loop(symmetry, blas_threads):
+    """The spectra are solved side by side, as many as OpenBLAS has threads
+    (4 is more than this test assumes cores), with the bytes of drawing and
+    solving them in turn from the one stream, also when threads switch often."""
+    threads = sampler._lapack().get("threads")
+    if threads is None:
+        pytest.skip("OpenBLAS exports no thread count setter")
+    get, set_ = threads
+    n, samples, host, interval = 128, 9, get(), sys.getswitchinterval()
+    set_(blas_threads)
+    sys.setswitchinterval(1e-6)
+    try:
+        got = equilibrium_gap_reference(n, symmetry, samples, derive_stream(21, 1))
+        assert get() == blas_threads
+    finally:
+        sys.setswitchinterval(interval)
+        set_(host)
+    stream = derive_stream(21, 1)
+    want = np.concatenate([gap_distribution(gaussian_ensemble_spectrum(n, symmetry, stream),
+                                            GAP_WINDOW) for _ in range(samples)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_gap_window_too_small():

@@ -1,15 +1,17 @@
+import contextlib
 import dataclasses
 import itertools
 import json
 import math
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from wignerlab import experiments, sampler
+from wignerlab import dbm, experiments, sampler
 from wignerlab.experiments import (
     READS,
     RUNNERS,
@@ -35,7 +37,7 @@ from wignerlab.experiments import (
     upper_mean_square,
 )
 from wignerlab.profile import flat_profile
-from wignerlab.sampler import HERMITIAN, SYMMETRIC, from_name, sample_indexed
+from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, from_name, sample_indexed
 from wignerlab.semicircle import classical_locations, n_sc
 
 
@@ -280,6 +282,105 @@ def _blas_threads():
     if threads is None:
         pytest.skip("OpenBLAS exports no thread count setter")
     return threads
+
+
+@contextlib.contextmanager
+def _host_blas_threads(count):
+    get, set_ = _blas_threads()
+    host = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(host)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_reference_solves_as_many_spectra_at_once_as_blas_has_threads(monkeypatch, count):
+    """dsterf calls no BLAS: the reference's phase keeps the host's count and
+    runs that many solves at once."""
+    state = _count_overlap(monkeypatch, [(dbm, "eigvalsh_tridiagonal")])
+    with _host_blas_threads(count):
+        dbm.equilibrium_gap_reference(128, SYMMETRIC, 6, derive_stream(1, 2))
+    assert state["calls"] == 6 and state["peak"] == count
+
+
+def test_reference_never_overlaps_a_phase_in_another_thread(monkeypatch):
+    """The reference is one phase and holds BLAS_LOCK: it waits for a phase
+    of another Python thread to end, and one waits for it."""
+    started = threading.Event()
+    state = _count_overlap(monkeypatch, [(dbm, "eigvalsh_tridiagonal")],
+                           seen=lambda args: started.set())
+    samples = 6
+    reference = lambda: dbm.equilibrium_gap_reference(128, SYMMETRIC, samples, derive_stream(1, 2))
+    with _host_blas_threads(2):
+        worker = threading.Thread(target=reference)
+        worker.start()
+        assert started.wait(10)
+        with sampler.eigenvalue_phase(64):
+            inside = dict(state)
+        worker.join(10)
+        assert not worker.is_alive()
+        assert inside["calls"] == samples and inside["active"] == 0
+
+        state.update(calls=0)
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with sampler.eigenvalue_phase(64):
+                entered.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert entered.wait(10)
+        worker = threading.Thread(target=reference)
+        worker.start()
+        time.sleep(0.1)
+        waited = state["calls"]
+        release.set()
+        holder.join(10)
+        worker.join(10)
+        assert not holder.is_alive() and not worker.is_alive()
+        assert waited == 0 and state["calls"] == samples
+
+
+def test_reference_worker_error_reaches_the_runner(monkeypatch):
+    solve, raised = dbm.eigvalsh_tridiagonal, []
+
+    def failing(d, e):
+        if not raised:
+            raised.append(threading.get_ident())
+            raise FloatingPointError("eigendecomposition produced non-finite values")
+        return solve(d, e)
+
+    monkeypatch.setattr(dbm, "eigvalsh_tridiagonal", failing)
+    with _host_blas_threads(2), pytest.raises(FloatingPointError):
+        run_dbm_relax(ExperimentConfig(n_list=[128], samples_per_n=2, reference_samples=6))
+    assert raised and raised[0] != threading.get_ident()
+    assert not sampler.BLAS_LOCK.locked()
+
+
+def test_lsc_factorizes_each_sample_where_it_lies(monkeypatch):
+    """lsc's statistic solves the drawn buffer itself: a drawn N = 512 sample
+    peaks at least one N×N copy (8 N² bytes) lower than through eigen_pair's
+    copy of h."""
+    n = 512
+    cfg = ExperimentConfig(n_list=[n], samples_per_n=1, eta_count=3)
+    run_lsc(dataclasses.replace(cfg, n_list=[64]))  # warm-up imports and caches
+
+    def peak():
+        tracemalloc.start()
+        try:
+            run_lsc(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    in_place = peak()
+    eigen_pair = sampler.WignerSample.eigen_pair
+    monkeypatch.setattr(sampler.WignerSample, "eigen_pair", lambda s, consume=False: eigen_pair(s))
+    assert peak() - in_place >= 8 * n * n - 256 * 1024
 
 
 def test_unpinned_blas_calls_run_one_at_a_time(monkeypatch):

@@ -72,10 +72,13 @@ def test_dbm_relax_hermitian_csv_hash(tmp_path):
     ("rigidity", dict(n_list=[256], samples_per_n=4, master_seed=3)),
     ("edge", dict(n_list=[256], samples_per_n=4, symmetry="hermitian",
                   distribution_b="rademacher", master_seed=3)),
-], ids=["rigidity", "edge-hermitian"])
+    ("dbm-relax", dict(n_list=[256], samples_per_n=2, reference_samples=8, master_seed=3)),
+], ids=["rigidity", "edge-hermitian", "dbm-relax"])
 def test_csv_independent_of_host_blas_threads(name, kwargs, tmp_path):
     """At N <= PIN_MAX_N the runners solve on one BLAS thread whatever the
-    host's setting; without the pin, 1 and 2 threads give other bits here."""
+    host's setting; without the pin, 1 and 2 threads give other bits here.
+    The dbm-relax reference solves as many spectra at once as BLAS has
+    threads, and its bytes do not depend on that width."""
     threads = sampler._lapack().get("threads")
     if threads is None:
         pytest.skip("OpenBLAS exports no thread count setter")

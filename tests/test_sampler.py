@@ -304,7 +304,8 @@ def test_eigen_pair_matches_eigh_bytes(symmetry, n, blas_threads):
     """eigen_pair solves a copy of h in place and gives (w, U) with the bytes
     of numpy's eigh of the mirrored h at either BLAS thread count, on a
     sample never mirrored and on one whose h was read first; h is left as it
-    was."""
+    was. With consume it solves h itself, with the same bytes, and of the
+    sample only n stays readable."""
     threads = sampler._lapack().get("threads")
     if threads is None:
         pytest.skip("OpenBLAS exports no thread count setter")
@@ -313,15 +314,19 @@ def test_eigen_pair_matches_eigh_bytes(symmetry, n, blas_threads):
     set_(blas_threads)
     try:
         s, t = _twins(symmetry, n)
+        consumed = _twins(symmetry, n)[0]
         h = t.h
         before = h.tobytes()
         w0, u0 = np.linalg.eigh(h)
-        for sample in (s, t):
-            w, u = sample.eigen_pair()
+        for sample, consume in ((s, False), (t, False), (consumed, True)):
+            w, u = sample.eigen_pair(consume=consume)
             assert w.tobytes() == w0.tobytes()
             assert u.tobytes() == u0.tobytes()
         assert t.h is h and h.tobytes() == before
         assert s.h.tobytes() == before
+        assert consumed.n == n
+        with pytest.raises(RuntimeError, match="consumed"):
+            consumed.h
     finally:
         set_(host)
 
