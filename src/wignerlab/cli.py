@@ -170,8 +170,9 @@ def make_parser() -> _Parser:
         sp.add_argument("--threads", type=int, default=None, help=(
             "workers for eigenvalue-only samples at N <= 512, each solve on one BLAS thread; "
             "other phases (N > 512, and all of lsc) run one sample at a time on every BLAS "
-            "thread, and dbm-relax's equilibrium reference solves as many spectra at once as "
-            "BLAS has threads (default: 1)"))
+            "thread; dbm-relax's equilibrium reference calls no BLAS and solves as many "
+            "spectra at once as BLAS has threads, beside the flow when the flow is pinned "
+            "(default: 1)"))
         sp.add_argument("--quiet", action="store_true", help="suppress per-check output (default: off)")
 
     for name in RUNNERS:

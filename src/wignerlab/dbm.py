@@ -14,8 +14,8 @@ import threading
 import numpy as np
 
 from .profile import flat_profile
-from .sampler import (HERMITIAN, SYMMETRIC, _lapack, eigenvalue_phase, eigvalsh_tridiagonal,
-                      gaussian, sample_buffer, sample_matrix)
+from .sampler import (HERMITIAN, SYMMETRIC, blas_threads, eigvalsh_tridiagonal, gaussian,
+                      sample_buffer, sample_matrix)
 from .semicircle import rho_sc
 
 
@@ -116,18 +116,19 @@ def gaussian_ensemble_spectrum(n: int, symmetry: str, stream: np.random.Generato
 
 
 def equilibrium_gap_reference(
-    n: int, symmetry: str, samples: int, stream: np.random.Generator
+    n: int, symmetry: str, samples: int, stream: np.random.Generator, *,
+    width: int | None = None,
 ) -> np.ndarray:
     """Pooled unfolded GAP_WINDOW gaps of ``samples`` GOE/GUE spectra from
     ``gaussian_ensemble_spectrum``, drawn in turn from the one stream and
     concatenated in that order.
 
-    One sample phase that keeps the host's BLAS thread count. ``dsterf`` calls
-    no BLAS, so it uses those threads across calls: the spectra are solved
-    side by side, as many at once as OpenBLAS has threads, or one at a time
-    without its thread count getter. Each spectrum is drawn when a worker
-    takes it, under a lock, so the draws follow the serial order and the
-    bytes do not depend on the width."""
+    ``dsterf`` calls no BLAS, so this is no sample phase: it holds no
+    ``BLAS_LOCK`` while it solves and leaves the thread count alone, and it
+    may run beside a pinned phase. It solves ``width`` spectra side by side, by default as
+    many as the host's OpenBLAS has threads (``blas_threads``). Each
+    spectrum is drawn when a worker takes it, under a lock, so the draws
+    follow the serial order and the bytes do not depend on the width."""
     from .experiments import _map_indexed  # experiments imports this module
 
     lock, order, gaps = threading.Lock(), itertools.count(), [None] * samples
@@ -137,7 +138,5 @@ def equilibrium_gap_reference(
             k, (d, e) = next(order), _beta_hermite(n, symmetry, stream)
         gaps[k] = gap_distribution(eigvalsh_tridiagonal(d, e), GAP_WINDOW)
 
-    with eigenvalue_phase(n, eigenvalues_only=False):
-        threads = _lapack().get("threads")
-        _map_indexed(one, samples, threads[0]() if threads else 1)
+    _map_indexed(one, samples, blas_threads() if width is None else width)
     return np.concatenate(gaps)

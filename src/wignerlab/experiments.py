@@ -18,8 +18,8 @@ import numpy as np
 from . import dbm
 from .profile import ProfileError, VarianceProfile, band_profile, flat_profile
 from .resolvent import control_sweep
-from .sampler import (HERMITIAN, SYMMETRIC, WignerSample, derive_stream, eigenvalue_phase,
-                      from_name, sample_buffer, sample_indexed)
+from .sampler import (HERMITIAN, SYMMETRIC, WignerSample, blas_threads, derive_stream,
+                      eigenvalue_phase, from_name, pins, sample_buffer, sample_indexed)
 from .semicircle import SpectralPoint, classical_locations, m_sc, n_sc
 
 
@@ -469,6 +469,37 @@ def upper_mean_square(h: np.ndarray) -> float:
     return float(np.mean(sq))
 
 
+def _flow_time(cfg: ExperimentConfig, gamma: np.ndarray, ti: int, t: float):
+    """The pooled unfolded gaps of dbm-relax's samples at its ti-th flow time
+    t, and the z-scores of their mean off-diagonal and diagonal variances."""
+    n = gamma.size
+
+    def draw(i, out):
+        stream = derive_stream(cfg.master_seed, ti * 10**5 + i)
+        return dbm.ou_endpoint(gamma, t, cfg.symmetry, stream, out)
+
+    def one(ht):
+        off_mean = upper_mean_square(ht) * n
+        diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
+        # factorizing overwrites ht, so it comes last; diag(gamma) (t = 0) has spectrum gamma
+        eigs = gamma if t == 0.0 else WignerSample(ht, mirrored=False).eigenvalues()
+        gaps = dbm.gap_distribution(eigs, dbm.GAP_WINDOW)
+        return gaps, off_mean, diag_dev
+
+    results = monte_carlo(cfg, n, one, draw)
+    target = 1.0 - math.exp(-t)
+    m = len(results)
+    n_off = n * (n - 1) / 2
+    # each entry is target/n times a chi^2_1 (or complex analog) variable
+    se_off = target * math.sqrt(2.0 / (m * n_off)) if target > 0 else 0.0
+    se_diag = target * math.sqrt(2.0 / (m * n)) if target > 0 else 0.0
+    off_obs = fmean([r[1] for r in results])
+    diag_obs = fmean([r[2] for r in results])
+    z_off = (off_obs - target) / se_off if se_off else 0.0
+    z_diag = (diag_obs - target) / se_diag if se_diag else 0.0
+    return np.concatenate([r[0] for r in results]), z_off, z_diag
+
+
 def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     """Relaxation of gap statistics from the rigid classical-location start
     toward the Gaussian equilibrium, plus the entry-variance interpolation."""
@@ -491,38 +522,20 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     except dbm.SampleSizeError as exc:
         raise ConfigError(f"N = {n} too small for dbm-relax: {exc}") from exc
     ref_stream = derive_stream(cfg.master_seed, 10**6 + 1)
-    reference = dbm.equilibrium_gap_reference(
-        n, cfg.symmetry, cfg.reference_samples, ref_stream
-    )
+    with ThreadPoolExecutor(max_workers=1) as background:
+        # dsterf calls no BLAS: while the flow's phases pin BLAS to one thread
+        # the reference is solved on the cores they leave idle, as wide as the
+        # host's count, read before a phase pins it; an unpinned flow uses
+        # every core, so the reference runs to completion first
+        reference = background.submit(dbm.equilibrium_gap_reference, n, cfg.symmetry,
+                                      cfg.reference_samples, ref_stream, width=blas_threads())
+        if not pins(n):
+            reference.result()
+        flow = [_flow_time(cfg, gamma, ti, t) for ti, t in enumerate(t_list)]
+        reference = reference.result()
     columns = ["t", "ks", "n_gaps", "offdiag_var_z", "diag_var_z"]
-    rows = []
-    for ti, t in enumerate(t_list):
-        def draw(i, out):
-            stream = derive_stream(cfg.master_seed, ti * 10**5 + i)
-            return dbm.ou_endpoint(gamma, t, cfg.symmetry, stream, out)
-
-        def one(ht):
-            off_mean = upper_mean_square(ht) * n
-            diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
-            # factorizing overwrites ht, so it comes last; diag(gamma) (t = 0) has spectrum gamma
-            eigs = gamma if t == 0.0 else WignerSample(ht, mirrored=False).eigenvalues()
-            gaps = dbm.gap_distribution(eigs, dbm.GAP_WINDOW)
-            return gaps, off_mean, diag_dev
-
-        results = monte_carlo(cfg, n, one, draw)
-        pooled = np.concatenate([r[0] for r in results])
-        ks, _ = ks_two_sample(pooled, reference)
-        target = 1.0 - math.exp(-t)
-        m = len(results)
-        n_off = n * (n - 1) / 2
-        # each entry is target/n times a chi^2_1 (or complex analog) variable
-        se_off = target * math.sqrt(2.0 / (m * n_off)) if target > 0 else 0.0
-        se_diag = target * math.sqrt(2.0 / (m * n)) if target > 0 else 0.0
-        off_obs = fmean([r[1] for r in results])
-        diag_obs = fmean([r[2] for r in results])
-        z_off = (off_obs - target) / se_off if se_off else 0.0
-        z_diag = (diag_obs - target) / se_diag if se_diag else 0.0
-        rows.append((float(t), ks, int(pooled.size), z_off, z_diag))
+    rows = [(float(t), ks_two_sample(pooled, reference)[0], int(pooled.size), z_off, z_diag)
+            for t, (pooled, z_off, z_diag) in zip(t_list, flow)]
     ks = [row[1] for row in rows]
     checks = [
         Check("relax_start_far", ks[0], lo=calib["relax_t0_factor"] * ks[-1]),

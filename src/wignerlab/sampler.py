@@ -126,12 +126,27 @@ def from_name(name: str) -> EntryDistribution:
 # OpenBLAS runs a factorization or GEMM on all its threads, so two at once
 # oversubscribe the cores. A sample phase holds this lock from start to end,
 # so two phases, even in two Python threads, never overlap or interleave a
-# pin's save and restore.
+# pin's save and restore; ``blas_threads`` reads the host's count under it.
+# Work that calls no BLAS (dbm's equilibrium reference, solved by dsterf)
+# takes no lock, and may run beside a pinned phase on the cores it leaves idle.
 BLAS_LOCK = threading.Lock()
 
 # Up to this N a solve gains little from a second BLAS thread, so an
 # eigenvalue phase pins BLAS to one thread and each pool worker solves its own.
 PIN_MAX_N = 512
+
+
+def pins(n: int, eigenvalues_only: bool = True) -> bool:
+    """Whether ``eigenvalue_phase(n, eigenvalues_only)`` pins OpenBLAS to one thread."""
+    return eigenvalues_only and n <= PIN_MAX_N and "threads" in _lapack()
+
+
+def blas_threads() -> int:
+    """The host's OpenBLAS thread count, read under ``BLAS_LOCK`` so that no
+    phase's pin is read instead, or 1 without its thread count getter."""
+    threads = _lapack().get("threads")
+    with BLAS_LOCK:
+        return threads[0]() if threads else 1
 
 
 @contextlib.contextmanager
@@ -144,11 +159,10 @@ def eigenvalue_phase(n: int, eigenvalues_only: bool = True):
     leaves the host's count alone, and its BLAS calls must run one at a time.
     Never nested: a nested phase would deadlock."""
     with BLAS_LOCK:
-        threads = _lapack().get("threads")
-        if not eigenvalues_only or n > PIN_MAX_N or threads is None:
+        if not pins(n, eigenvalues_only):
             yield False
             return
-        get, set_ = threads
+        get, set_ = _lapack()["threads"]
         host = get()
         set_(1)
         try:

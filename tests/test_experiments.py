@@ -305,44 +305,63 @@ def test_reference_solves_as_many_spectra_at_once_as_blas_has_threads(monkeypatc
     assert state["calls"] == 6 and state["peak"] == count
 
 
-def test_reference_never_overlaps_a_phase_in_another_thread(monkeypatch):
-    """The reference is one phase and holds BLAS_LOCK: it waits for a phase
-    of another Python thread to end, and one waits for it."""
-    started = threading.Event()
-    state = _count_overlap(monkeypatch, [(dbm, "eigvalsh_tridiagonal")],
-                           seen=lambda args: started.set())
-    samples = 6
-    reference = lambda: dbm.equilibrium_gap_reference(128, SYMMETRIC, samples, derive_stream(1, 2))
+def _solve_overlap(monkeypatch):
+    """Count the reference's tridiagonal solves and the flow's dense solves
+    apart; each call logs how many calls of the other kind are in flight as
+    it starts, so two calls overlapped if and only if some log entry is > 0."""
+    states = {}
+    states["reference"] = _count_overlap(monkeypatch, [(dbm, "eigvalsh_tridiagonal")],
+                                         seen=lambda args: states["flow"]["active"])
+    states["flow"] = _count_overlap(monkeypatch, [(sampler, "eigvalsh_inplace")],
+                                    seen=lambda args: states["reference"]["active"])
+    return states["reference"], states["flow"]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_reference_runs_beside_pinned_flow_solves(monkeypatch, count):
+    """At N <= PIN_MAX_N the flow's phases pin BLAS to one thread, and the
+    reference, which calls no BLAS, is solved on the cores they leave idle,
+    no wider than the host's thread count."""
+    reference, flow = _solve_overlap(monkeypatch)
+    with _host_blas_threads(count):
+        run_dbm_relax(ExperimentConfig(n_list=[128], samples_per_n=2, reference_samples=20))
+    assert reference["calls"] == 20 and flow["calls"] == 8
+    assert any(reference["log"] + flow["log"])
+    assert reference["peak"] == count
+
+
+def test_reference_runs_before_unpinned_flow_solves(monkeypatch):
+    """Above PIN_MAX_N the flow's solves run on every BLAS thread, so the
+    reference is solved first and none of its solves overlaps a flow solve."""
+    reference, flow = _solve_overlap(monkeypatch)
+    run_dbm_relax(ExperimentConfig(n_list=[sampler.PIN_MAX_N + 1], samples_per_n=2,
+                                   reference_samples=4))
+    assert reference["calls"] == 4 and flow["calls"] == 8
+    assert not any(reference["log"] + flow["log"])
+
+
+def test_flow_error_waits_for_the_reference(monkeypatch):
+    """A flow solve that raises while the reference is still being solved
+    reaches the caller once the reference's threads are gone, with BLAS_LOCK
+    free and the host's thread count back."""
+    get, _ = _blas_threads()
+    samples, running = 20, []
+    reference = _count_overlap(monkeypatch, [(dbm, "eigvalsh_tridiagonal")])
+
+    def failing(h):
+        running.append(reference["calls"] < samples)
+        raise FloatingPointError("eigendecomposition produced non-finite values")
+
+    monkeypatch.setattr(sampler, "eigvalsh_inplace", failing)
     with _host_blas_threads(2):
-        worker = threading.Thread(target=reference)
-        worker.start()
-        assert started.wait(10)
-        with sampler.eigenvalue_phase(64):
-            inside = dict(state)
-        worker.join(10)
-        assert not worker.is_alive()
-        assert inside["calls"] == samples and inside["active"] == 0
-
-        state.update(calls=0)
-        entered, release = threading.Event(), threading.Event()
-
-        def hold():
-            with sampler.eigenvalue_phase(64):
-                entered.set()
-                release.wait(10)
-
-        holder = threading.Thread(target=hold)
-        holder.start()
-        assert entered.wait(10)
-        worker = threading.Thread(target=reference)
-        worker.start()
-        time.sleep(0.1)
-        waited = state["calls"]
-        release.set()
-        holder.join(10)
-        worker.join(10)
-        assert not holder.is_alive() and not worker.is_alive()
-        assert waited == 0 and state["calls"] == samples
+        host, before = get(), threading.active_count()
+        with pytest.raises(FloatingPointError):
+            run_dbm_relax(ExperimentConfig(n_list=[128], samples_per_n=2,
+                                           reference_samples=samples))
+        assert get() == host
+    assert running and running[0]
+    assert reference["active"] == 0 and threading.active_count() == before
+    assert not sampler.BLAS_LOCK.locked()
 
 
 def test_reference_worker_error_reaches_the_runner(monkeypatch):
