@@ -117,8 +117,8 @@ def gaussian_ensemble_spectrum(n: int, symmetry: str, stream: np.random.Generato
 
 def equilibrium_gap_reference(
     n: int, symmetry: str, samples: int, stream: np.random.Generator, *,
-    width: int | None = None,
-) -> np.ndarray:
+    width: int | None = None, stop: threading.Event | None = None,
+) -> np.ndarray | None:
     """Pooled unfolded GAP_WINDOW gaps of ``samples`` GOE/GUE spectra from
     ``gaussian_ensemble_spectrum``, drawn in turn from the one stream and
     concatenated in that order.
@@ -128,15 +128,19 @@ def equilibrium_gap_reference(
     may run beside a pinned phase. It solves ``width`` spectra side by side, by default as
     many as the host's OpenBLAS has threads (``blas_threads``). Each
     spectrum is drawn when a worker takes it, under a lock, so the draws
-    follow the serial order and the bytes do not depend on the width."""
+    follow the serial order and the bytes do not depend on the width. Once
+    ``stop`` is set no spectrum is drawn: the solves in flight finish, and
+    the call returns None."""
     from .experiments import _map_indexed  # experiments imports this module
 
     lock, order, gaps = threading.Lock(), itertools.count(), [None] * samples
 
     def one(_):
         with lock:
+            if stop is not None and stop.is_set():
+                return
             k, (d, e) = next(order), _beta_hermite(n, symmetry, stream)
         gaps[k] = gap_distribution(eigvalsh_tridiagonal(d, e), GAP_WINDOW)
 
     _map_indexed(one, samples, blas_threads() if width is None else width)
-    return np.concatenate(gaps)
+    return None if stop is not None and stop.is_set() else np.concatenate(gaps)

@@ -522,16 +522,25 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     except dbm.SampleSizeError as exc:
         raise ConfigError(f"N = {n} too small for dbm-relax: {exc}") from exc
     ref_stream = derive_stream(cfg.master_seed, 10**6 + 1)
+    stop, flow = threading.Event(), []
     with ThreadPoolExecutor(max_workers=1) as background:
         # dsterf calls no BLAS: while the flow's phases pin BLAS to one thread
         # the reference is solved on the cores they leave idle, as wide as the
         # host's count, read before a phase pins it; an unpinned flow uses
         # every core, so the reference runs to completion first
         reference = background.submit(dbm.equilibrium_gap_reference, n, cfg.symmetry,
-                                      cfg.reference_samples, ref_stream, width=blas_threads())
-        if not pins(n):
-            reference.result()
-        flow = [_flow_time(cfg, gamma, ti, t) for ti, t in enumerate(t_list)]
+                                      cfg.reference_samples, ref_stream, width=blas_threads(),
+                                      stop=stop)
+        try:
+            if not pins(n):
+                reference.result()
+            for ti, t in enumerate(t_list):
+                if reference.done():
+                    reference.result()  # raises the reference's error, if any
+                flow.append(_flow_time(cfg, gamma, ti, t))
+        except BaseException:
+            stop.set()  # the executor waits for the reference: end it early
+            raise
         reference = reference.result()
     columns = ["t", "ks", "n_gaps", "offdiag_var_z", "diag_var_z"]
     rows = [(float(t), ks_two_sample(pooled, reference)[0], int(pooled.size), z_off, z_diag)

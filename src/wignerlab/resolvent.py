@@ -39,64 +39,77 @@ class GreenSnapshot:
     lam: float
 
 
-_STRIP = 128  # rows of G per GEMM: the fastest of 64-256 at N = 256, 512, 1024
+# width of a real column panel and height of a complex row panel. Each panel
+# is one GEMM, and fewer, larger GEMMs run faster (128×128 tiles spent 16-19 %
+# more time in GEMM than 128-row strips at N = 512 and 1024); 112 is the
+# widest that keeps a real N = 512 sweep, U's C-ordered copy included, under
+# 4 MiB
+_PANEL = 112
 
 
 class _Resolvent:
-    """G = U diag(1/(w - z)) U^H for one spectral factorization (w, U), in
-    row strips, in work arrays allocated once; each strip overwrites the last.
+    """G = U diag(1/(w - z)) U^H for one spectral factorization (w, U), one
+    panel of G per GEMM, in two N×_PANEL work arrays allocated once; each
+    panel overwrites the last, so the working set beside U is O(N·_PANEL).
 
     Real U (symmetric class) gives a complex symmetric G, so only its upper
-    triangle is computed: with B = diag(1/(w - z)) U^T, G[lo:hi, lo:] is one
-    real GEMM of U[lo:hi] with the float view of B[:, lo:]. Complex U
-    (Hermitian class) takes one complex GEMM for all of G. The layout of a
-    GEMM operand sets the product's last bits, so each has one layout
-    whatever the order of U (``eigen_pair`` gives a Fortran-ordered U): the
-    real class holds U and U^T both C-ordered, and U^H is the transpose of a
-    C-ordered conj(U).
+    triangle is computed, by column panels: for [c0, c1), the columns
+    B[:, c0:c1] of B = diag(1/(w - z)) U^T are built, and G[:c1, c0:c1] is
+    one real GEMM of U[:c1] with their float view. Nothing below the
+    diagonal block G[c0:c1, c0:c1] is computed. Complex U (Hermitian class)
+    takes row panels: G[lo:hi] is one complex GEMM of the scaled rows
+    U[lo:hi] diag(1/(w - z)) with U^H. The layout of a GEMM operand sets the
+    product's last bits, so each has one layout whatever the order of U
+    (``eigen_pair`` gives a Fortran-ordered U): the real class holds U and
+    U^T both C-ordered, and U^H is the transpose of a C-ordered conj(U),
+    whose rows conjugated give U's rows contiguously.
     """
 
     def __init__(self, w: np.ndarray, u: np.ndarray):
-        self.w, self.u, self.n = w, u, len(w)
+        self.w, self.n = w, len(w)
         self.real = not np.iscomplexobj(u)
         if self.real:
             self.u, self.ut = np.ascontiguousarray(u), np.ascontiguousarray(u.T)
-            self.b = np.empty(u.shape, dtype=np.complex128)
-            self.g = np.empty(min(self.n, _STRIP) * self.n, dtype=np.complex128)
         else:
             self.uh = np.conjugate(u, order="C").T
-            self.scaled = np.empty(u.shape, dtype=np.complex128)
-            self.g = np.empty(u.shape, dtype=np.complex128)
+        size = self.n * min(self.n, _PANEL)
+        # the panel's B columns or scaled rows; free again once its GEMM is done
+        self.work = np.empty(size, dtype=np.complex128)
+        self.g = np.empty(size, dtype=np.complex128)
 
-    def strips(self, z: complex):
-        """Yield (lo, c0, g), g = G[lo:lo + len(g), c0:], for consecutive row
-        strips: c0 = lo for real U, c0 = 0 for complex U."""
+    def panels(self, z: complex):
+        """Yield (r0, c0, g), g = G[r0:r0 + g.shape[0], c0:c0 + g.shape[1]].
+        Each panel holds one block of G's diagonal, G[k:k + m, k:k + m] with
+        k = max(r0, c0) and m = min(g.shape). ``work`` is free while a panel
+        is out."""
         inv = 1.0 / (self.w - z)
         n = self.n
-        if not self.real:
-            np.multiply(self.u, inv, out=self.scaled)
-            np.matmul(self.scaled, self.uh, out=self.g)
-            for lo in range(0, n, _STRIP):
-                yield lo, 0, self.g[lo:lo + _STRIP]
-            return
-        np.multiply(self.ut, inv.real[:, None], out=self.b.real)
-        np.multiply(self.ut, inv.imag[:, None], out=self.b.imag)
-        b = self.b.view(np.float64)
-        for lo in range(0, n, _STRIP):
-            hi = min(lo + _STRIP, n)
-            g = self.g[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-            np.matmul(self.u[lo:hi], b[:, 2 * lo:], out=g.view(np.float64))
-            yield lo, lo, g
+        for lo in range(0, n, _PANEL):
+            hi = min(lo + _PANEL, n)
+            if self.real:
+                b = self.work[:n * (hi - lo)].reshape(n, hi - lo)
+                # (x + 0i) times 1/(w - z) is x Re + x Im i: the real products' bits
+                np.copyto(b, self.ut[:, lo:hi])
+                np.multiply(b, inv[:, None], out=b)
+                g = self.g[:hi * (hi - lo)].reshape(hi, hi - lo)
+                np.matmul(self.u[:hi], b.view(np.float64), out=g.view(np.float64))
+                yield 0, lo, g
+            else:
+                rows = np.conjugate(self.uh.T[lo:hi], out=self.work[:(hi - lo) * n].reshape(hi - lo, n))
+                np.multiply(rows, inv, out=rows)
+                g = self.g[:(hi - lo) * n].reshape(hi - lo, n)
+                yield lo, 0, np.matmul(rows, self.uh, out=g)
 
 
 def green_at(s: WignerSample, z: SpectralPoint) -> np.ndarray:
     """Full resolvent G = (H - z)^-1 from the sample's cached spectral
-    factorization, as a fresh complex128 array. In the symmetric class each
-    pair G_ij = G_ji is computed once, so G is exactly symmetric."""
+    factorization, as a fresh complex128 array, panel by panel with the bits
+    of ``control_sweep``. In the symmetric class each pair G_ij = G_ji is
+    computed once, so G is exactly symmetric."""
     r = _Resolvent(*s.eigen_pair())
     g = np.empty((r.n, r.n), dtype=np.complex128)
-    for lo, c0, strip in r.strips(z.z):
-        g[lo:lo + len(strip), c0:] = strip
+    for r0, c0, p in r.panels(z.z):
+        g[r0:r0 + p.shape[0], c0:c0 + p.shape[1]] = p
     if r.real:
         lower = np.tril_indices(r.n, -1)
         g[lower] = g.T[lower]
@@ -122,22 +135,25 @@ def control_params(g: np.ndarray, z: SpectralPoint) -> GreenSnapshot:
 
 def control_sweep(s: WignerSample, pts: list[SpectralPoint]) -> list[GreenSnapshot]:
     """``control_params(green_at(s, z), z)`` for each z in pts, with the same
-    bits, reduced strip by strip in work arrays allocated once for the
-    sample; the full G is never formed in the symmetric class."""
+    bits, reduced panel by panel in the resolvent's work arrays; the full G
+    is never formed, and the sweep's memory beside U (and U^H) is
+    O(N·_PANEL)."""
     r = _Resolvent(*s.eigen_pair())
-    n = r.n
-    # the entries Λ_o ranges over; j > i suffices when G is symmetric
-    keep = np.triu(np.ones((n, n), dtype=bool), 1) if r.real else ~np.eye(n, dtype=bool)
-    mag = np.empty(min(n, _STRIP) * n)
-    diag = np.empty(n, dtype=np.complex128)
+    t = min(r.n, _PANEL)
+    # the entries of a panel's diagonal block that Λ_o skips: the diagonal,
+    # and in the symmetric class the lower triangle, which green_at mirrors
+    drop = np.tri(t, dtype=bool) if r.real else np.eye(t, dtype=bool)
+    diag = np.empty(r.n, dtype=np.complex128)
     snaps = []
     for z in pts:
         lambda_o = np.float64(0.0)
-        for lo, c0, g in r.strips(z.z):
-            h = len(g)
-            a = np.abs(g, out=mag[:g.size].reshape(g.shape))
-            lambda_o = np.maximum(lambda_o, a.max(where=keep[lo:lo + h, c0:], initial=0.0))
-            diag[lo:lo + h] = g.diagonal(lo - c0)
+        for r0, c0, g in r.panels(z.z):
+            k, m = max(r0, c0), min(g.shape)
+            block = (slice(k - r0, k - r0 + m), slice(k - c0, k - c0 + m))
+            diag[k:k + m] = g[block].diagonal()
+            a = np.abs(g, out=r.work.view(np.float64)[:g.size].reshape(g.shape))
+            np.copyto(a[block], 0.0, where=drop[:m, :m])
+            lambda_o = np.maximum(lambda_o, a.max())
         lam = abs(complex(diag.mean()) - m_sc(z))
         snaps.append(GreenSnapshot(lambda_o=float(lambda_o), lam=lam))
     return snaps

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from wignerlab import sampler
@@ -13,3 +15,19 @@ def blas_threads_restored():
     yield
     if threads:
         assert threads[0]() == before, "OpenBLAS thread count changed"
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak bytes that tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """The ``_traced_peak`` helper: ``out, peak = traced_peak(fn, *args)``."""
+    return _traced_peak

@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -95,18 +94,13 @@ def test_endpoint_variance_interpolation():
             assert abs(vals.mean() - target) <= 4 * se
 
 
-def test_dbm_relax_holds_one_matrix():
+def test_dbm_relax_holds_one_matrix(traced_peak):
     # the flow sample is the noise buffer itself and the off-diagonal
     # statistic takes half a matrix: no dense start, no triu index arrays
     n = 512
     cfg = ExperimentConfig(n_list=[n], samples_per_n=2, reference_samples=2, master_seed=6)
     run_dbm_relax(replace(cfg, n_list=[130]))  # warm-up imports and caches
-    tracemalloc.start()
-    try:
-        run_dbm_relax(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run_dbm_relax, cfg)
     assert peak <= 2.5 * 8 * n * n
 
 

@@ -5,7 +5,6 @@ import json
 import math
 import threading
 import time
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -380,7 +379,37 @@ def test_reference_worker_error_reaches_the_runner(monkeypatch):
     assert not sampler.BLAS_LOCK.locked()
 
 
-def test_lsc_factorizes_each_sample_where_it_lies(monkeypatch):
+def test_flow_error_stops_the_reference(monkeypatch):
+    """A flow solve that raises stops the reference: it draws no spectrum
+    after the error, so far fewer than its 40 solves run."""
+    samples = 40
+    reference = _count_overlap(monkeypatch, [(dbm, "eigvalsh_tridiagonal")])
+
+    def failing(h):
+        raise FloatingPointError("eigendecomposition produced non-finite values")
+
+    monkeypatch.setattr(sampler, "eigvalsh_inplace", failing)
+    with _host_blas_threads(2), pytest.raises(FloatingPointError):
+        run_dbm_relax(ExperimentConfig(n_list=[128], samples_per_n=2, reference_samples=samples))
+    assert reference["active"] == 0 and reference["calls"] < samples // 2
+
+
+def test_reference_error_stops_the_flow(monkeypatch):
+    """A reference solve that raises ends the run at the next flow time: of
+    the flow's 8 solves (two samples at each t > 0) at most the first flow
+    time's run."""
+    flow = _count_overlap(monkeypatch, [(sampler, "eigvalsh_inplace")])
+
+    def failing(d, e):
+        raise FloatingPointError("eigendecomposition produced non-finite values")
+
+    monkeypatch.setattr(dbm, "eigvalsh_tridiagonal", failing)
+    with _host_blas_threads(2), pytest.raises(FloatingPointError):
+        run_dbm_relax(ExperimentConfig(n_list=[128], samples_per_n=2, reference_samples=6))
+    assert flow["calls"] <= 2
+
+
+def test_lsc_factorizes_each_sample_where_it_lies(monkeypatch, traced_peak):
     """lsc's statistic solves the drawn buffer itself: a drawn N = 512 sample
     peaks at least one N×N copy (8 N² bytes) lower than through eigen_pair's
     copy of h."""
@@ -389,12 +418,7 @@ def test_lsc_factorizes_each_sample_where_it_lies(monkeypatch):
     run_lsc(dataclasses.replace(cfg, n_list=[64]))  # warm-up imports and caches
 
     def peak():
-        tracemalloc.start()
-        try:
-            run_lsc(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(run_lsc, cfg)[1]
 
     in_place = peak()
     eigen_pair = sampler.WignerSample.eigen_pair

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,14 +96,9 @@ def test_flat_matches_dense_formula(n):
     "build", [lambda: flat_profile(1024), lambda: band_profile(1024, 64)],
     ids=["flat", "band"],
 )
-def test_profiles_take_linear_storage(build):
+def test_profiles_take_linear_storage(build, traced_peak):
     # one dense 1024 x 1024 float64 copy would be 8 MiB
-    tracemalloc.start()
-    try:
-        p = build()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    p, peak = traced_peak(build)
     assert peak < 2**20
     with pytest.raises(ValueError):
         p.sigma2[1, 0] = 1.0

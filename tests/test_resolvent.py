@@ -5,7 +5,7 @@ import pytest
 
 from wignerlab.profile import flat_profile
 from wignerlab.resolvent import (
-    _STRIP,
+    _PANEL,
     MinorSpec,
     SingularityError,
     control_params,
@@ -121,33 +121,41 @@ def two_gemm_formula(w, u, z):
     return g
 
 
-def strip_formula(w, u, z):
-    # the arithmetic green_at keeps bit for bit: one complex GEMM for complex
-    # eigenvectors; for real ones B = diag(1/(w - z)) U^T, its Re and Im
-    # written separately, one real GEMM per strip of _STRIP rows for
-    # G[lo:hi, lo:] from the C-ordered rows U[lo:hi] whatever the order of u,
-    # and the upper triangle mirrored below the diagonal
-    if np.iscomplexobj(u):
-        return spectral_formula(w, u, z)
+def panel_formula(w, u, z):
+    # the arithmetic green_at keeps bit for bit, one GEMM per panel of _PANEL.
+    # Real eigenvectors: B = diag(1/(w - z)) U^T, whose entries are the real
+    # products u_jk Re(1/(w_k - z)) and u_jk Im(1/(w_k - z)); G[:c1, c0:c1]
+    # from the C-ordered rows U[:c1] whatever the order of u and the float
+    # view of B[:, c0:c1], and the upper triangle mirrored below the
+    # diagonal. Complex ones: G[lo:hi] from the rows U[lo:hi] scaled by
+    # 1/(w - z) with U^H, the transpose of a C-ordered conj(U)
     n = len(w)
     inv = 1.0 / (w - z)
+    g = np.empty(u.shape, dtype=np.complex128)
+    if np.iscomplexobj(u):
+        uh = np.conjugate(u, order="C").T
+        for lo in range(0, n, _PANEL):
+            g[lo:lo + _PANEL] = (np.ascontiguousarray(u[lo:lo + _PANEL]) * inv) @ uh
+        return g
     b = np.empty(u.shape, dtype=np.complex128)
     b.real = inv.real[:, None] * u.T
     b.imag = inv.imag[:, None] * u.T
-    g = np.empty(u.shape, dtype=np.complex128)
-    for lo in range(0, n, _STRIP):
-        hi = min(lo + _STRIP, n)
-        rows = np.ascontiguousarray(u[lo:hi])
-        g[lo:hi, lo:] = (rows @ b.view(np.float64)[:, 2 * lo:]).view(np.complex128)
+    for c0 in range(0, n, _PANEL):
+        c1 = min(c0 + _PANEL, n)
+        cols = np.ascontiguousarray(b[:, c0:c1]).view(np.float64)
+        g[:c1, c0:c1] = (np.ascontiguousarray(u[:c1]) @ cols).view(np.complex128)
     for i in range(n):
         g[i + 1:, i] = g[i, i + 1:]
     return g
 
 
 # N = 130 is large enough for the GEMMs to take the multithreaded BLAS path;
-# the last four sizes put a strip edge on either side of a row
+# 127-129 straddle a power-of-two blocking edge, the next four sizes put a
+# panel edge on either side of a row, and at 257 and 300 the last panel is
+# narrow: there the bits follow the panel edges
 @pytest.mark.parametrize("sym", [SYMMETRIC, HERMITIAN])
-@pytest.mark.parametrize("n", [2, 3, 130, _STRIP - 1, _STRIP, _STRIP + 1, 2 * _STRIP + 1])
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 130, _PANEL - 1, _PANEL, _PANEL + 1,
+                               2 * _PANEL + 1, 257, 300])
 def test_control_sweep_bits_equal_green_at(sym, n):
     s = make_sample(n, sym=sym, seed=17)
     w, u = s.eigen_pair()
@@ -157,9 +165,22 @@ def test_control_sweep_bits_equal_green_at(sym, n):
     assert len(snaps) == len(pts)
     for z, snap in zip(pts, snaps):
         g = green_at(s, z)
-        assert g.tobytes() == strip_formula(w, u, z.z).tobytes()
+        assert g.tobytes() == panel_formula(w, u, z.z).tobytes()
         ref = control_params(g, z)
         assert (snap.lam, snap.lambda_o) == (ref.lam, ref.lambda_o)
+
+
+@pytest.mark.parametrize("sym, mib", [(SYMMETRIC, 4.0), (HERMITIAN, 7.0)])
+def test_control_sweep_works_in_panels(sym, mib, traced_peak):
+    """A 12-point sweep of an N = 512 sample allocates U's C-ordered copy (or
+    U^H) and O(N·_PANEL) beside it: no N×N B, scaled U, G or mask."""
+    n = 512
+    s = make_sample(n, sym=sym, seed=23)
+    s.eigen_pair(consume=True)
+    pts = [SpectralPoint(0.0, float(eta)) for eta in np.geomspace(n**-0.9, 1.0, 12)]
+    control_sweep(s, pts[:1])  # warm-up imports and caches
+    _, peak = traced_peak(control_sweep, s, pts)
+    assert peak <= mib * 2**20
 
 
 @pytest.mark.parametrize("n", [2, 3, 130, 512])
@@ -175,7 +196,7 @@ def test_green_symmetric_is_symmetric_near_two_gemm_formula(n):
 
 
 @pytest.mark.parametrize("sym", [SYMMETRIC, HERMITIAN])
-@pytest.mark.parametrize("n", [2, 2 * _STRIP + 1])
+@pytest.mark.parametrize("n", [2, 2 * _PANEL + 1, 257])
 def test_diagonal_h_has_no_offdiagonal_resolvent(sym, n):
     d = np.random.default_rng(n).uniform(-2.0, 2.0, n)
     s = WignerSample(np.diag(d).astype(np.complex128 if sym == HERMITIAN else np.float64))

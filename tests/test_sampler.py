@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,18 +469,13 @@ _ALLOC_LAWS = [gaussian(), uniform(), rademacher(), two_point(0.3)]
     *(pytest.param(SYMMETRIC, law, id=f"law{k}") for k, law in enumerate(_ALLOC_LAWS)),
     *(pytest.param(HERMITIAN, law, id=f"hermitian-law{k}") for k, law in enumerate(_ALLOC_LAWS)),
 ])
-def test_symmetric_sample_allocates_one_matrix(symmetry, law):
+def test_symmetric_sample_allocates_one_matrix(symmetry, law, traced_peak):
     # draws go straight into h, for both classes: one buffer at N = 1024
     # (8 MiB real, 16 MiB complex), not the packed draws and their scaled
     # copy besides; rademacher and two_point add one chunk's temporaries
     n = 1024
     p = flat_profile(n)
     sample_matrix(flat_profile(8), law, symmetry, derive_stream(0, 0))  # warm-up imports
-    tracemalloc.start()
-    try:
-        s = sample_matrix(p, law, symmetry, derive_stream(0, 0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    s, peak = traced_peak(sample_matrix, p, law, symmetry, derive_stream(0, 0))
     # the draw alone: reading h mirrors it through one N×N temporary
     assert peak <= s.h.nbytes + 2**20
