@@ -1,5 +1,5 @@
 """Monte Carlo harness: local-law scaling, rigidity with its extreme-eigenvalue
-bound, counting function, edge comparison and flow relaxation, with
+and counting-function bounds, edge comparison and flow relaxation, with
 deterministic seeded parallelism and CSV/JSON reports."""
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def run_lsc(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# rigidity and counting function
+# rigidity, with the extreme-eigenvalue and counting-function bounds
 
 
 def rigidity_stats(eigs: np.ndarray, gamma: np.ndarray) -> dict:
@@ -341,6 +341,7 @@ def rigidity_stats(eigs: np.ndarray, gamma: np.ndarray) -> dict:
         "center_dev": float(dev[n // 2 - 1]),
         "bulk_max": float(n * dev[bulk].max()),
         "spectral_radius": float(max(abs(eigs[0]), abs(eigs[-1]))),
+        "counting_sup": counting_sup(eigs),
     }
 
 
@@ -357,8 +358,9 @@ def counting_sup(eigs: np.ndarray) -> float:
 
 def run_rigidity(cfg: ExperimentConfig) -> ExperimentReport:
     """Eigenvalue deviations from the classical locations, with their N
-    slopes, and the bound that no sample's max(|lambda_1|, |lambda_N|)
-    reaches 2 + c N^(-2/3) (log N)^1.5."""
+    slopes; the bound that no sample's max(|lambda_1|, |lambda_N|) reaches
+    2 + c N^(-2/3) (log N)^1.5; and the counting-function bound on the median
+    of counting_sup, all from one spectrum per sample."""
     calib = load_calibration()
     columns = [
         "n", "samples", "median_edge_dev", "median_center_dev",
@@ -373,14 +375,18 @@ def run_rigidity(cfg: ExperimentConfig) -> ExperimentReport:
         mc = median([s["center_dev"] for s in stats])
         mb = median([s["bulk_max"] for s in stats])
         ms = median([s["scaled_max"] for s in stats])
-        ratio = ms / math.log(n) ** calib["polylog_exponent"]
-        rows.append((n, len(stats), me, mc, mb, ms, ratio))
+        polylog = math.log(n) ** calib["polylog_exponent"]
+        rows.append((n, len(stats), me, mc, mb, ms, ms / polylog))
         med_edge.append(me)
         med_center.append(mc)
-        checks.append(Check(f"rigidity_scaled_n{n}", ratio, hi=calib["rigidity_scaled_const"]))
+        checks.append(Check(f"rigidity_scaled_n{n}", ms / polylog, hi=calib["rigidity_scaled_const"]))
         threshold = 2.0 + calib["extreme_c"] * n ** (-2.0 / 3.0) * math.log(n) ** 1.5
         fits[f"extreme_threshold_n{n}"] = threshold
         checks.append(Check(f"extreme_n{n}", max(s["spectral_radius"] for s in stats), hi=threshold))
+        sups = [s["counting_sup"] for s in stats]
+        fits[f"counting_median_sup_n{n}"] = median(sups)
+        fits[f"counting_p95_sup_n{n}"] = nearest_rank_quantile(sups, 0.95)
+        checks.append(Check(f"counting_n{n}", median(sups) / polylog, hi=calib["counting_const"]))
     if len(cfg.n_list) >= 3:
         s_edge, _, se_edge = slope_fit(cfg.n_list, med_edge)
         s_center, _, se_center = slope_fit(cfg.n_list, med_center)
@@ -391,19 +397,6 @@ def run_rigidity(cfg: ExperimentConfig) -> ExperimentReport:
         checks.append(Check("rigidity_edge_slope", s_edge, *calib["rigidity_edge_slope"]))
         checks.append(Check("rigidity_center_slope", s_center, *calib["rigidity_bulk_slope"]))
     return ExperimentReport("rigidity", asdict(cfg), columns, rows, fits, checks)
-
-
-def run_counting(cfg: ExperimentConfig) -> ExperimentReport:
-    calib = load_calibration()
-    columns = ["n", "samples", "median_sup", "p95_sup", "sup_over_log2"]
-    rows, checks = [], []
-    for n in cfg.n_list:
-        sups = monte_carlo(cfg, n, lambda s: counting_sup(s.eigenvalues()))
-        med = median(sups)
-        ratio = med / math.log(n) ** calib["polylog_exponent"]
-        rows.append((n, len(sups), med, nearest_rank_quantile(sups, 0.95), ratio))
-        checks.append(Check(f"counting_n{n}", ratio, hi=calib["counting_const"]))
-    return ExperimentReport("counting", asdict(cfg), columns, rows, {}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +556,6 @@ _ENSEMBLE = {"n_list", "samples_per_n", "profile", "distribution", "symmetry", "
 READS = {
     "lsc": _ENSEMBLE | {"e_values", "eta_count"},
     "rigidity": _ENSEMBLE,
-    "counting": _ENSEMBLE,
     "edge": _ENSEMBLE | {"distribution_b", "allow_moment_mismatch"},
     "dbm-relax": _ENSEMBLE - {"profile", "distribution"} | {"reference_samples"},
 }
@@ -571,7 +563,6 @@ READS = {
 RUNNERS = {
     "lsc": run_lsc,
     "rigidity": run_rigidity,
-    "counting": run_counting,
     "edge": run_edge,
     "dbm-relax": run_dbm_relax,
 }

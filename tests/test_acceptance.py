@@ -19,7 +19,6 @@ import pytest
 from wignerlab.experiments import (
     Check,
     ExperimentConfig,
-    run_counting,
     run_dbm_relax,
     run_edge,
     run_lsc,
@@ -107,22 +106,23 @@ def test_criterion_4_offdiagonal_law(lsc_report):
     assert_checks(lsc_report.checks, "lsc_offdiag_")
 
 
-# criterion 5 -----------------------------------------------------------------
+# criteria 5 + 6 --------------------------------------------------------------
 
 
-def test_criterion_5_rigidity_slopes():
+@pytest.fixture(scope="module")
+def rigidity_report():
     cfg = ExperimentConfig(
         n_list=[256, 512, 1024, 2048], samples_per_n=100, master_seed=20240901
     )
-    assert_checks(run_rigidity(cfg).checks)
+    return run_rigidity(cfg)
 
 
-# criterion 6 -----------------------------------------------------------------
+def test_criterion_5_rigidity_slopes(rigidity_report):
+    assert_checks(rigidity_report.checks, "rigidity_", "extreme_")
 
 
-def test_criterion_6_counting_function():
-    cfg = ExperimentConfig(n_list=[256, 1024], samples_per_n=100, master_seed=20240901)
-    assert_checks(run_counting(cfg).checks)
+def test_criterion_6_counting_function(rigidity_report):
+    assert_checks(rigidity_report.checks, "counting_")
 
 
 # criterion 7 -----------------------------------------------------------------
@@ -165,8 +165,8 @@ def test_criterion_9_determinism(tmp_path):
         cfg = ExperimentConfig(
             n_list=[64, 96], samples_per_n=10, master_seed=20240901, threads=threads
         )
-        rep = run_counting(cfg)
-        path = tmp_path / f"counting_t{threads}.csv"
+        rep = run_rigidity(cfg)
+        path = tmp_path / f"rigidity_t{threads}.csv"
         rep.write_csv(path)
         payloads.append(path.read_bytes())
         hashes.append(rep.content_hash())

@@ -96,9 +96,9 @@ def test_report_json_has_the_keys_run_reads(tmp_path):
     """`run.py` reads the report's top-level `passed` and each check's `name`
     and `passed`; a report without them fails every benchmark process."""
     out = tmp_path / "out"
-    argv = ["counting", "--n", "64", "--samples", "2", "--out", str(out), "--quiet"]
+    argv = ["rigidity", "--n", "64", "--samples", "2", "--out", str(out), "--quiet"]
     assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
-    report = json.loads((out / "counting.json").read_text())
+    report = json.loads((out / "rigidity.json").read_text())
     assert isinstance(report["passed"], bool)
     assert report["checks"]
     for check in report["checks"]:

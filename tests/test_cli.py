@@ -45,6 +45,14 @@ def test_missing_subcommand_usage_error(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_counting_is_an_unknown_subcommand(capsys):
+    # the counting-function bound is a check of the rigidity runner
+    with pytest.raises(SystemExit) as exc:
+        main(["counting", "--n", "64"])
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid choice: 'counting'" in capsys.readouterr().err
+
+
 def test_unknown_flag_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["identities", "--frobnicate"])
@@ -126,9 +134,9 @@ def test_cli_runs_without_scipy(tmp_path):
     "identities --seed -1",
     "rigidity --n 64,64,64 --samples 2",  # the --n flag is sorted, then checked
     # a config file that cannot be read
-    "counting --config missing.conf",
-    "counting --config dir.conf",
-    "counting --config latin1.conf",
+    "rigidity --config missing.conf",
+    "rigidity --config dir.conf",
+    "rigidity --config latin1.conf",
 ])
 def test_utility_bad_input_is_config_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -165,15 +173,15 @@ def test_read_config_rejects_garbage(tmp_path):
         read_config(str(bad))
 
 
-def test_counting_run_with_config(tmp_path, capsys):
+def test_rigidity_run_with_config(tmp_path, capsys):
     cfg_file = tmp_path / "run.conf"
     cfg_file.write_text("n_list = 64\nsamples_per_n = 4\n")
     out = tmp_path / "out"
-    code = main(["counting", "--config", str(cfg_file), "--out", str(out)])
+    code = main(["rigidity", "--config", str(cfg_file), "--out", str(out)])
     assert code == EXIT_OK
-    assert (out / "counting.csv").exists()
-    assert (out / "counting.json").exists()
-    summary = json.loads((out / "counting.json").read_text())
+    assert (out / "rigidity.csv").exists()
+    assert (out / "rigidity.json").exists()
+    summary = json.loads((out / "rigidity.json").read_text())
     assert summary["passed"] is True
     assert summary["config"]["samples_per_n"] == 4
 
@@ -183,11 +191,11 @@ def test_flag_overrides_config(tmp_path):
     cfg_file.write_text("master_seed = 5\nn_list = 64\n")
     out = tmp_path / "out"
     code = main([
-        "counting", "--config", str(cfg_file), "--out", str(out),
+        "rigidity", "--config", str(cfg_file), "--out", str(out),
         "--seed", "123", "--samples", "3", "--quiet",
     ])
     assert code == EXIT_OK
-    summary = json.loads((out / "counting.json").read_text())
+    summary = json.loads((out / "rigidity.json").read_text())
     assert summary["config"]["master_seed"] == 123
     assert summary["config"]["samples_per_n"] == 3
 
@@ -198,7 +206,7 @@ def test_unknown_config_key_usage_error(tmp_path, capsys):
     cfg_file = tmp_path / "run.conf"
     for line in ("wat = 1", "experiment.samples_per_n = 4"):
         cfg_file.write_text(f"{line}\n")
-        assert main(["counting", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert main(["rigidity", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == EXIT_USAGE
         assert "does not read config key" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -207,30 +215,30 @@ def test_identical_invocations_identical_files(tmp_path):
     outs = []
     for run in range(2):
         out = tmp_path / f"out{run}"
-        assert main(["counting", "--n", "64", "--samples", "3", "--seed", "4",
+        assert main(["rigidity", "--n", "64", "--samples", "3", "--seed", "4",
                      "--out", str(out), "--quiet"]) == EXIT_OK
-        outs.append((out / "counting.csv").read_bytes())
+        outs.append((out / "rigidity.csv").read_bytes())
     assert outs[0] == outs[1]
 
 
 # Each config names one bad value; the run must stop when the config is
 # built (exit 64, nothing written), not fail halfway or run anyway.
 BAD_CONFIGS = [
-    ("counting", "symmetry = orthogonal"),
-    ("counting", "distribution = cauchy"),
-    ("counting", "distribution = two_point:1.5"),
+    ("rigidity", "symmetry = orthogonal"),
+    ("rigidity", "distribution = cauchy"),
+    ("rigidity", "distribution = two_point:1.5"),
     ("edge", "distribution_b = cauchy"),
-    ("counting", "profile = band:w=wide"),
-    ("counting", "profile = band:w=0"),
-    ("counting", "profile = band:w=17"),
-    ("counting", "threads = 0"),
-    ("counting", "n_list = 1"),
+    ("rigidity", "profile = band:w=wide"),
+    ("rigidity", "profile = band:w=0"),
+    ("rigidity", "profile = band:w=17"),
+    ("rigidity", "threads = 0"),
+    ("rigidity", "n_list = 1"),
     ("rigidity", "n_list = 64,64,64"),  # a slope fit over one distinct size
     ("lsc", "n_list = 32,32"),  # every row twice
-    ("counting", "n_list = 64,32"),
-    ("counting", "samples_per_n = two"),
+    ("rigidity", "n_list = 64,32"),
+    ("rigidity", "samples_per_n = two"),
     ("edge", "allow_moment_mismatch = maybe"),
-    ("counting", "distribution = gaussian:scale=nan"),  # LinAlgError mid-run
+    ("rigidity", "distribution = gaussian:scale=nan"),  # LinAlgError mid-run
     ("edge", "distribution_b = gaussian:scale=nan"),  # abs(nan - 1) > 1e-12 is False
     ("lsc", "eta_count = 2"),
     ("lsc", "e_values ="),
@@ -238,12 +246,12 @@ BAD_CONFIGS = [
     ("lsc", "e_values = nan"),
     ("lsc", "e_values = 6.0"),  # outside |E| <= 5
     ("dbm-relax", "n_list = 256\nreference_samples = 0"),
-    ("counting", "master_seed = -1"),
+    ("rigidity", "master_seed = -1"),
     ("dbm-relax", "n_list = 64"),  # too few eigenvalues in the gap window
     # streams ti*10**5 + i collide across flow times
     ("dbm-relax", "n_list = 256\nsamples_per_n = 100001"),
-    ("counting", "distribution = gaussian:scale=0"),  # an all-zero matrix passes the extreme bound
-    ("counting", "distribution = gaussian:scale=-1"),
+    ("rigidity", "distribution = gaussian:scale=0"),  # an all-zero matrix passes the extreme bound
+    ("rigidity", "distribution = gaussian:scale=-1"),
     # a field the runner does not read would be recorded but change nothing
     ("rigidity", "extreme_c = 3"),
     ("rigidity", "t_list = 0,1,2"),
@@ -266,9 +274,9 @@ BAD_CONFIGS = [
     ("edge", "n_list = 33,64\ndistribution_b = rademacher"),
     ("dbm-relax", "n_list = 128,256"),
     # a repeated key: the last line would silently win
-    ("counting", "samples_per_n = 4\nsamples_per_n = 6"),
+    ("rigidity", "samples_per_n = 4\nsamples_per_n = 6"),
     # a prefixed key names no field
-    ("counting", "samples_per_n = 4\nexperiment.samples_per_n = 6"),
+    ("rigidity", "samples_per_n = 4\nexperiment.samples_per_n = 6"),
 ]
 
 
@@ -304,7 +312,6 @@ def test_fixed_constant_is_not_a_config_key(tmp_path, capsys, command, line):
 # smallest size the config accepts; edge then reports two top eigenvalues.
 @pytest.mark.parametrize("command, lines", [
     ("rigidity", ""),
-    ("counting", ""),
     ("lsc", ""),
     ("edge", "distribution_b = rademacher"),
 ])

@@ -27,7 +27,6 @@ from wignerlab.experiments import (
     nearest_rank_quantile,
     profile_from_spec,
     rigidity_stats,
-    run_counting,
     run_dbm_relax,
     run_edge,
     run_lsc,
@@ -434,7 +433,7 @@ def test_unpinned_blas_calls_run_one_at_a_time(monkeypatch):
     n = sampler.PIN_MAX_N + 1
     runs = [
         (run_lsc, dict(n_list=[8], eta_count=3)),
-        (run_counting, dict(n_list=[n])),
+        (run_rigidity, dict(n_list=[n])),
         (run_dbm_relax, dict(n_list=[n], samples_per_n=2, reference_samples=1)),
     ]
     for runner, cfg in runs:
@@ -445,7 +444,7 @@ def test_unpinned_blas_calls_run_one_at_a_time(monkeypatch):
 
 def test_unpinned_statistics_run_on_the_calling_thread(monkeypatch):
     """A phase that leaves BLAS on the host's threads runs its samples one at
-    a time, whatever --threads: counting above PIN_MAX_N and lsc at every N
+    a time, whatever --threads: rigidity above PIN_MAX_N and lsc at every N
     call each statistic on the thread that runs the runner."""
     idents = []
 
@@ -455,10 +454,10 @@ def test_unpinned_statistics_run_on_the_calling_thread(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(experiments, "counting_sup", on_thread(experiments.counting_sup))
+    monkeypatch.setattr(experiments, "rigidity_stats", on_thread(experiments.rigidity_stats))
     monkeypatch.setattr(experiments, "control_sweep", on_thread(experiments.control_sweep))
     runs = [
-        (run_counting, dict(n_list=[sampler.PIN_MAX_N + 1])),
+        (run_rigidity, dict(n_list=[sampler.PIN_MAX_N + 1])),
         (run_lsc, dict(n_list=[8], eta_count=3)),
     ]
     for runner, cfg in runs:
@@ -552,14 +551,14 @@ def test_report_rerun_byte_identical(tmp_path):
     outs = []
     for run in range(2):
         cfg = ExperimentConfig(n_list=[64], samples_per_n=6)
-        rep = run_counting(cfg)
-        p = tmp_path / f"counting_{run}.csv"
+        rep = run_rigidity(cfg)
+        p = tmp_path / f"rigidity_{run}.csv"
         rep.write_csv(p)
-        rep.write_json(tmp_path / f"counting_{run}.json")
+        rep.write_json(tmp_path / f"rigidity_{run}.json")
         outs.append(p)
     assert outs[0].read_bytes() == outs[1].read_bytes()
-    j = json.loads((tmp_path / "counting_0.json").read_text())
-    assert j["experiment"] == "counting"
+    j = json.loads((tmp_path / "rigidity_0.json").read_text())
+    assert j["experiment"] == "rigidity"
     assert j["config"]["master_seed"] == 1
     assert "content_hash" in j
 

@@ -26,11 +26,6 @@ GOLDEN = {
              symmetry="hermitian", distribution="uniform", master_seed=12),
         "ae01486d6f44e0da871e046fdce39b2115ca44abf5b02132d102497f78775908",
     ),
-    "counting": (
-        dict(n_list=[33, 64], samples_per_n=3, symmetry="hermitian",
-             distribution="two_point:0.3", master_seed=13),
-        "ef19278f9eef08099b89c4d90f2b490abb02a91d55ac1f1e25f38914fa4c002b",
-    ),
     "edge": (
         dict(n_list=[65], samples_per_n=6, profile="band:w=16",
              symmetry="hermitian", distribution="gaussian",
@@ -55,6 +50,24 @@ def test_runner_csv_hash(name, tmp_path):
     path = tmp_path / f"{name}.csv"
     rep.write_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+def test_counting_fits_keep_their_bits():
+    """The counting-function fits and checks of rigidity's report, bit for
+    bit, on a Hermitian two-point ensemble at an odd N; GOLDEN's rigidity
+    CSV holds none of them."""
+    cfg = ExperimentConfig(n_list=[33, 64], samples_per_n=3, symmetry="hermitian",
+                           distribution="two_point:0.3", master_seed=13)
+    rep = RUNNERS["rigidity"](cfg)
+    fits = {k: repr(v) for k, v in rep.fits.items() if k.startswith("counting_")}
+    assert fits == {
+        "counting_median_sup_n33": "1.2495043195587343",
+        "counting_p95_sup_n33": "1.5294047786321938",
+        "counting_median_sup_n64": "1.5843666301862669",
+        "counting_p95_sup_n64": "2.4551085512008513",
+    }
+    ratios = {c.name: repr(c.value) for c in rep.checks if c.name.startswith("counting_")}
+    assert ratios == {"counting_n33": "0.10220421768144923", "counting_n64": "0.09160143218361333"}
 
 
 def test_dbm_relax_hermitian_csv_hash(tmp_path):
