@@ -30,7 +30,6 @@ from .semicircle import (
 )
 from .resolvent import (
     GreenSnapshot,
-    MinorSpec,
     control_params,
     control_sweep,
     green_at,

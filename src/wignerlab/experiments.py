@@ -34,6 +34,9 @@ def load_calibration() -> dict:
 
 @dataclass
 class ExperimentConfig:
+    """One run's parameters. Every field is checked, read by the runner or not:
+    the CLI rejects keys a runner does not read, so an invalid unread value
+    can only come from an API caller, and is that caller's error."""
     n_list: list[int] = field(default_factory=lambda: [256])
     samples_per_n: int = 100
     profile: str = "flat"  # flat | band:w=<int>
@@ -349,7 +352,7 @@ def counting_sup(eigs: np.ndarray) -> float:
     """N * sup over E of |empirical cdf - semicircle cdf|, evaluated exactly
     at the jump points of the empirical counting function."""
     n = eigs.size
-    nsc = np.array([n_sc(x) for x in eigs])
+    nsc = n_sc(eigs)
     j = np.arange(1, n + 1)
     above = np.abs(j / n - nsc)
     below = np.abs((j - 1) / n - nsc)

@@ -3,6 +3,7 @@ deviation diagnostics used by the experiments."""
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,22 +14,6 @@ from .semicircle import SpectralPoint, m_sc
 
 class SingularityError(ArithmeticError):
     pass
-
-
-@dataclass(frozen=True)
-class MinorSpec:
-    """Set of removed row/column indices."""
-
-    t: frozenset[int]
-
-    def check(self, n: int) -> None:
-        for i in self.t:
-            if not 0 <= i < n:
-                raise IndexError(f"minor index {i} outside [0, {n})")
-
-    def keep(self, n: int) -> np.ndarray:
-        self.check(n)
-        return np.array([i for i in range(n) if i not in self.t], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -159,37 +144,40 @@ def control_sweep(s: WignerSample, pts: list[SpectralPoint]) -> list[GreenSnapsh
     return snaps
 
 
-def minor_green(s: WignerSample, t: MinorSpec, z: SpectralPoint) -> np.ndarray:
-    """Resolvent of H with rows/columns in t removed, indexed by the kept set.
-
-    Computed by a fresh factorization; correct but not incremental.
-    """
-    keep = t.keep(s.n)
+def minor_green(s: WignerSample, t: Collection[int], z: SpectralPoint) -> np.ndarray:
+    """G^(t) in H's own indexing: N×N, exact zeros on the rows and columns in
+    t, and the kept block's resolvent, from a fresh factorization, on the rest."""
+    if any(not 0 <= i < s.n for i in t):
+        raise IndexError(f"minor {sorted(t)} has an index outside [0, {s.n})")
+    keep = np.array([i for i in range(s.n) if i not in t], dtype=int)
     if keep.size == 0:
         raise ValueError("minor removes every index")
-    return green_at(WignerSample(h=s.h[np.ix_(keep, keep)]), z)
+    g = np.zeros((s.n, s.n), dtype=np.complex128)
+    g[np.ix_(keep, keep)] = green_at(WignerSample(h=s.h[np.ix_(keep, keep)]), z)
+    return g
 
 
-def k_quantity(s: WignerSample, t: MinorSpec, i: int, j: int, z: SpectralPoint):
+def k_quantity(s: WignerSample, t: Collection[int], i: int, j: int, z: SpectralPoint):
     """The quadratic form Z_ij = a^i* G^(ij,t) a^j over the minor with
     rows/columns t+{i,j} removed, and K_ij = h_ij - z*delta_ij - Z_ij."""
-    if i in t.t or j in t.t:
-        raise IndexError(f"index {i if i in t.t else j} already removed by the minor")
-    full = MinorSpec(t.t | {i, j})
-    keep = full.keep(s.n)
-    if keep.size == 0:
-        raise ValueError("no indices left outside the minor")
+    if i in t or j in t:
+        raise IndexError(f"index {i if i in t else j} already removed by the minor")
+    full = {*t, i, j}
     gm = minor_green(s, full, z)
-    ai = s.h[keep, i]
-    aj = s.h[keep, j]
-    zq = complex(ai.conj() @ gm @ aj)
+    # over the kept block only: summing the zeros too would move Z's last bits
+    keep = np.array([x for x in range(s.n) if x not in full], dtype=int)
+    zq = complex(s.h[keep, i].conj() @ gm[np.ix_(keep, keep)] @ s.h[keep, j])
     kq = complex(s.h[i, j] - (z.z if i == j else 0.0) - zq)
     return kq, zq
 
 
-def identity_residuals(
-    s: WignerSample, z: SpectralPoint, t: MinorSpec, i: int, j: int, k: int
-) -> tuple[float, float, float, float]:
+def _relative(lhs, rhs, scale) -> float:
+    """|lhs - rhs| relative to the larger of |scale| and |rhs|."""
+    return float(abs(lhs - rhs) / max(abs(scale), abs(rhs), 1e-300))
+
+
+def identity_residuals(s: WignerSample, z: SpectralPoint, t: Collection[int], i: int, j: int,
+                       k: int) -> tuple[float, float, float, float]:
     """Relative residuals of the four exact perturbation identities:
 
       (1) G^(t)_ii * K^(i,t)_ii = 1
@@ -199,40 +187,18 @@ def identity_residuals(
     """
     if len({i, j, k}) != 3:
         raise ValueError(f"indices {i}, {j}, {k} must be distinct")
-    for idx in (i, j, k):
-        if idx in t.t:
-            raise IndexError(f"index {idx} already removed by the minor")
-    keep = t.keep(s.n)
-    pos = {v: a for a, v in enumerate(keep)}
+    if removed := {i, j, k} & set(t):
+        raise IndexError(f"indices {sorted(removed)} already removed by the minor")
     g = minor_green(s, t, z)
-    gi, gj, gk = pos[i], pos[j], pos[k]
-
-    def sub(extra: int) -> tuple[np.ndarray, dict]:
-        spec = MinorSpec(t.t | {extra})
-        kp = spec.keep(s.n)
-        return minor_green(s, spec, z), {v: a for a, v in enumerate(kp)}
-
-    if abs(g[gj, gj]) < 1e-14 or abs(g[gk, gk]) < 1e-14:
+    if abs(g[j, j]) < 1e-14 or abs(g[k, k]) < 1e-14:
         raise SingularityError("degenerate diagonal resolvent entry")
-
-    kq_i, _ = k_quantity(s, t, i, i, z)
-    r1 = abs(g[gi, gi] * kq_i - 1.0)
-
-    gjt, pj = sub(j)
-    kq_ij, _ = k_quantity(s, t, i, j, z)
-    rhs2 = -g[gj, gj] * gjt[pj[i], pj[i]] * kq_ij
-    r2 = abs(g[gi, gj] - rhs2) / max(abs(g[gi, gj]), abs(rhs2), 1e-300)
-
-    lhs3 = g[gi, gi] - gjt[pj[i], pj[i]]
-    rhs3 = g[gi, gj] * g[gj, gi] / g[gj, gj]
-    r3 = abs(lhs3 - rhs3) / max(abs(g[gi, gi]), abs(rhs3), 1e-300)
-
-    gkt, pk = sub(k)
-    lhs4 = g[gi, gj] - gkt[pk[i], pk[j]]
-    rhs4 = g[gi, gk] * g[gk, gj] / g[gk, gk]
-    r4 = abs(lhs4 - rhs4) / max(abs(g[gi, gj]), abs(rhs4), 1e-300)
-
-    return float(r1), float(r2), float(r3), float(r4)
+    gj = minor_green(s, {*t, j}, z)
+    gk = minor_green(s, {*t, k}, z)
+    r1 = float(abs(g[i, i] * k_quantity(s, t, i, i, z)[0] - 1.0))
+    r2 = _relative(g[i, j], -g[j, j] * gj[i, i] * k_quantity(s, t, i, j, z)[0], g[i, j])
+    r3 = _relative(g[i, i] - gj[i, i], g[i, j] * g[j, i] / g[j, j], g[i, i])
+    r4 = _relative(g[i, j] - gk[i, j], g[i, k] * g[k, j] / g[k, k], g[i, j])
+    return r1, r2, r3, r4
 
 
 # the check names of identity_trial's five residuals, in its order, and the
@@ -249,7 +215,7 @@ def identity_trial(s: WignerSample, rng: np.random.Generator) -> tuple[float, ..
     n = s.n
     z = SpectralPoint(float(rng.uniform(-3, 3)), float(10 ** rng.uniform(-2, 1)))
     tsize = int(rng.integers(0, max(1, n - 4)))
-    t = MinorSpec(frozenset(int(x) for x in rng.choice(n, tsize, replace=False)))
-    rest = [x for x in range(n) if x not in t.t]
+    t = frozenset(int(x) for x in rng.choice(n, tsize, replace=False))
+    rest = [x for x in range(n) if x not in t]
     i, j, k = (int(x) for x in rng.choice(rest, 3, replace=False))
     return (*identity_residuals(s, z, t, i, j, k), ward_residual(green_at(s, z), z))

@@ -57,13 +57,15 @@ def rho_sc(e):
     return np.sqrt(np.maximum(4.0 - e * e, 0.0)) / (2.0 * math.pi)
 
 
-def n_sc(e: float) -> float:
-    """Distribution function of the semicircle law, in closed form."""
-    if e <= -2.0:
-        return 0.0
-    if e >= 2.0:
-        return 1.0
-    return 0.5 + (e * math.sqrt(4.0 - e * e) + 4.0 * math.asin(e / 2.0)) / (4.0 * math.pi)
+def n_sc(e):
+    """Distribution function of the semicircle law, in closed form,
+    element-wise, a scalar for a scalar; math.asin, not np.arcsin, keeps the
+    scalar formula's last bits."""
+    e = np.asarray(e, dtype=np.float64)
+    x = np.clip(e, -2.0, 2.0)
+    asin = np.asarray(np.frompyfunc(math.asin, 1, 1)(x / 2.0), dtype=np.float64)
+    inside = 0.5 + (x * np.sqrt(4.0 - x * x) + 4.0 * asin) / (4.0 * math.pi)
+    return np.where(e <= -2.0, 0.0, np.where(e >= 2.0, 1.0, inside))[()]
 
 
 def classical_locations(n: int) -> np.ndarray:

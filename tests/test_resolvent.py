@@ -6,7 +6,6 @@ import pytest
 from wignerlab.profile import flat_profile
 from wignerlab.resolvent import (
     _PANEL,
-    MinorSpec,
     SingularityError,
     control_params,
     control_sweep,
@@ -27,11 +26,11 @@ from wignerlab.sampler import (
 )
 from wignerlab.semicircle import SpectralPoint, m_sc
 
-EMPTY = MinorSpec(frozenset())
+EMPTY = frozenset()
 
 
 def minor(*indices):
-    return MinorSpec(frozenset(indices))
+    return frozenset(indices)
 
 
 def make_sample(n, sym=SYMMETRIC, seed=0, index=0):
@@ -99,7 +98,7 @@ def test_green_hermitian_bytes_unchanged():
     n = 48
     s = make_sample(n, sym=HERMITIAN, seed=13)
     spec = minor(0, 5, 30)
-    keep = spec.keep(n)
+    keep = np.setdiff1d(np.arange(n), list(spec))
     wm, um = np.linalg.eigh(s.h[np.ix_(keep, keep)])
     w, u = s.eigen_pair()
     assert u.dtype == np.complex128
@@ -107,7 +106,7 @@ def test_green_hermitian_bytes_unchanged():
         z = SpectralPoint(0.6, eta)
         g = green_at(s, z)
         assert g.tobytes() == spectral_formula(w, u, z.z).tobytes()
-        gm = minor_green(s, spec, z)
+        gm = minor_green(s, spec, z)[np.ix_(keep, keep)]
         assert gm.tobytes() == spectral_formula(wm, um, z.z).tobytes()
 
 
@@ -287,7 +286,7 @@ def test_minor_empty_equals_full():
 def test_minor_trailing_block():
     s = make_sample(3)
     z = SpectralPoint(-0.3, 0.7)
-    gm = minor_green(s, minor(0), z)
+    gm = minor_green(s, minor(0), z)[1:, 1:]
     block = s.h[1:, 1:]
     ref = np.linalg.solve(block - z.z * np.eye(2), np.eye(2))
     assert np.allclose(gm, ref, atol=1e-12)
@@ -305,6 +304,28 @@ def test_minor_cannot_remove_all():
     s = make_sample(3)
     with pytest.raises(ValueError):
         minor_green(s, minor(0, 1, 2), SpectralPoint(0, 1))
+
+
+@pytest.mark.parametrize("sym", [SYMMETRIC, HERMITIAN])
+@pytest.mark.parametrize("t", [(), (3,), (0, 4, 7, 10)])
+def test_minor_green_in_h_indexing(sym, t):
+    # G^(t) is N×N: exact zeros on the rows and columns in t, and on the kept
+    # block the bytes of the kept block's own resolvent
+    n = 11
+    s = make_sample(n, sym=sym, seed=29)
+    z = SpectralPoint(0.4, 0.05)
+    keep = np.setdiff1d(np.arange(n), list(t))
+    g = minor_green(s, frozenset(t), z)
+    assert g.shape == (n, n)
+    assert np.all(g[list(t), :] == 0.0) and np.all(g[:, list(t)] == 0.0)
+    ref = green_at(WignerSample(h=s.h[np.ix_(keep, keep)]), z)
+    assert g[np.ix_(keep, keep)].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_minor_green_rejects_index_outside(bad):
+    with pytest.raises(IndexError):
+        minor_green(make_sample(5), minor(1, bad), SpectralPoint(0, 1))
 
 
 def test_k_quantity_inverse_identity():
@@ -347,8 +368,8 @@ def test_partial_expectation_against_monte_carlo():
     s = make_sample(n, seed=7)
     z = SpectralPoint(0.3, 0.5)
     spec = minor(i)
-    keep = spec.keep(n)
-    gm = minor_green(s, spec, z)
+    keep = np.setdiff1d(np.arange(n), list(spec))
+    gm = minor_green(s, spec, z)[np.ix_(keep, keep)]
     sig = np.sqrt(flat_profile(n).sigma2[keep, i])
     rng = np.random.default_rng(123)
     draws = rng.standard_normal((m, n - 1)) * sig
@@ -376,6 +397,27 @@ def test_identity_trial(n):
         s = make_sample(n, sym=SYMMETRIC if trial % 2 else HERMITIAN, index=trial)
         res = identity_trial(s, rng)
         assert len(res) == 5 and max(res) <= 1e-9
+
+
+# identity_trial's five residuals, as repr strings, for fixed trials drawn
+# from one rng; they pin the bits of the minors and the quadratic forms
+IDENTITY_PINS = [
+    (3, HERMITIAN, ("4.577566798522237e-16", "1.9338189639618107e-15", "3.687719171243329e-16",
+                    "1.4007730267873712e-15", "4.425969263440061e-16")),
+    (12, SYMMETRIC, ("4.47545209131181e-16", "3.312370836300154e-15", "4.461339368122325e-16",
+                     "1.6554193960453606e-14", "9.694045379884425e-16")),
+    (20, HERMITIAN, ("1.0235750533041806e-15", "4.10500133117723e-15", "8.9381009197431e-16",
+                     "6.1037079860469954e-15", "1.0939535496168999e-15")),
+    (20, SYMMETRIC, ("1.734723475976807e-18", "4.6678335431685614e-14", "6.384798321345887e-16",
+                     "3.6477621192503397e-14", "8.788416502444864e-16")),
+]
+
+
+def test_identity_trial_residuals_keep_their_bits():
+    rng = np.random.default_rng(32)
+    for index, (n, sym, want) in enumerate(IDENTITY_PINS):
+        res = identity_trial(make_sample(n, sym=sym, seed=32, index=index), rng)
+        assert tuple(repr(r) for r in res) == want
 
 
 def test_identity_residuals_diagonal_matrix():

@@ -78,6 +78,29 @@ def test_nsc_endpoints():
     assert n_sc(-5.0) == 0.0 and n_sc(5.0) == 1.0
 
 
+def scalar_n_sc(e):
+    # the closed form one point at a time, with math.sqrt and math.asin
+    if e <= -2.0:
+        return 0.0
+    if e >= 2.0:
+        return 1.0
+    return 0.5 + (e * math.sqrt(4.0 - e * e) + 4.0 * math.asin(e / 2.0)) / (4.0 * math.pi)
+
+
+def test_nsc_elementwise_keeps_scalar_bits():
+    # np.arcsin differs from math.asin in the last bit at some of these points
+    specials = [2.0, -2.0, 0.0, -0.0, np.nan, np.inf, -np.inf,
+                np.nextafter(2.0, 0.0), np.nextafter(-2.0, 0.0), 1e-300, -1e-300]
+    e = np.concatenate([np.linspace(-2.5, 2.5, 200_001), specials])
+    got = n_sc(e)
+    assert got.shape == e.shape and got.dtype == np.float64
+    assert got.tobytes() == np.array([scalar_n_sc(float(x)) for x in e]).tobytes()
+    for x in (0.3, -1.999, -0.0, 2.0, -7.0, np.nan, np.float64(1.1)):
+        v = n_sc(x)
+        assert np.ndim(v) == 0
+        assert np.float64(v).tobytes() == np.float64(scalar_n_sc(x)).tobytes()
+
+
 def test_nsc_against_quadrature():
     quad = pytest.importorskip("scipy.integrate").quad
     for e in (-1.7, -0.9, -0.2, 0.4, 1.1, 1.95):
