@@ -66,7 +66,7 @@ def build_config(file_values: dict, args) -> ExperimentConfig:
             raise ConfigError(f"{args.command} does not read config key {key!r}")
         values[key] = _coerce(key, value)
     # flags override config keys
-    if args.n:
+    if args.n is not None:
         values["n_list"] = sorted(_coerce("n_list", args.n))
     if args.samples is not None:
         values["samples_per_n"] = args.samples

@@ -14,8 +14,8 @@ import threading
 import numpy as np
 
 from .profile import flat_profile
-from .sampler import (HERMITIAN, SYMMETRIC, blas_threads, eigvalsh_tridiagonal, gaussian,
-                      sample_buffer, sample_matrix)
+from .sampler import (HERMITIAN, SYMMETRIC, _map_indexed, blas_threads, eigvalsh_tridiagonal,
+                      gaussian, sample_buffer, sample_matrix)
 from .semicircle import rho_sc
 
 
@@ -131,8 +131,6 @@ def equilibrium_gap_reference(
     follow the serial order and the bytes do not depend on the width. Once
     ``stop`` is set no spectrum is drawn: the solves in flight finish, and
     the call returns None."""
-    from .experiments import _map_indexed  # experiments imports this module
-
     lock, order, gaps = threading.Lock(), itertools.count(), [None] * samples
 
     def one(_):

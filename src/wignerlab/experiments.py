@@ -18,8 +18,9 @@ import numpy as np
 from . import dbm
 from .profile import ProfileError, VarianceProfile, band_profile, flat_profile
 from .resolvent import control_sweep
-from .sampler import (HERMITIAN, SYMMETRIC, WignerSample, blas_threads, derive_stream,
-                      eigenvalue_phase, from_name, pins, sample_buffer, sample_indexed)
+from .sampler import (HERMITIAN, SYMMETRIC, WignerSample, _map_indexed, blas_threads,
+                      derive_stream, eigenvalue_phase, from_name, pins, sample_buffer,
+                      sample_indexed)
 from .semicircle import SpectralPoint, classical_locations, m_sc, n_sc
 
 
@@ -187,15 +188,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _map_indexed(fn, count: int, threads: int) -> list:
-    """Apply fn to 0..count-1; result order (hence every report) is
-    independent of the thread count."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(count)))
 
 
 def monte_carlo(cfg: ExperimentConfig, n: int, statistic, draw=None,
@@ -467,7 +459,7 @@ def upper_mean_square(h: np.ndarray) -> float:
 
 def _flow_time(cfg: ExperimentConfig, gamma: np.ndarray, ti: int, t: float):
     """The pooled unfolded gaps of dbm-relax's samples at its ti-th flow time
-    t, and the z-scores of their mean off-diagonal and diagonal variances."""
+    t > 0, and the z-scores of their mean off-diagonal and diagonal variances."""
     n = gamma.size
 
     def draw(i, out):
@@ -477,22 +469,16 @@ def _flow_time(cfg: ExperimentConfig, gamma: np.ndarray, ti: int, t: float):
     def one(ht):
         off_mean = upper_mean_square(ht) * n
         diag_dev = float(np.mean(np.abs(np.diag(ht) - math.exp(-t / 2.0) * gamma) ** 2)) * n
-        # factorizing overwrites ht, so it comes last; diag(gamma) (t = 0) has spectrum gamma
-        eigs = gamma if t == 0.0 else WignerSample(ht, mirrored=False).eigenvalues()
-        gaps = dbm.gap_distribution(eigs, dbm.GAP_WINDOW)
+        # factorizing overwrites ht, so it comes last
+        gaps = dbm.gap_distribution(WignerSample(ht, mirrored=False).eigenvalues(), dbm.GAP_WINDOW)
         return gaps, off_mean, diag_dev
 
     results = monte_carlo(cfg, n, one, draw)
-    target = 1.0 - math.exp(-t)
-    m = len(results)
-    n_off = n * (n - 1) / 2
+    target = 1.0 - math.exp(-t)  # above 0 at every t > 0
+    m, n_off = len(results), n * (n - 1) / 2
     # each entry is target/n times a chi^2_1 (or complex analog) variable
-    se_off = target * math.sqrt(2.0 / (m * n_off)) if target > 0 else 0.0
-    se_diag = target * math.sqrt(2.0 / (m * n)) if target > 0 else 0.0
-    off_obs = fmean([r[1] for r in results])
-    diag_obs = fmean([r[2] for r in results])
-    z_off = (off_obs - target) / se_off if se_off else 0.0
-    z_diag = (diag_obs - target) / se_diag if se_diag else 0.0
+    z_off = (fmean([r[1] for r in results]) - target) / (target * math.sqrt(2.0 / (m * n_off)))
+    z_diag = (fmean([r[2] for r in results]) - target) / (target * math.sqrt(2.0 / (m * n)))
     return np.concatenate([r[0] for r in results]), z_off, z_diag
 
 
@@ -514,11 +500,13 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
             f"dbm-relax streams collide at samples_per_n = {cfg.samples_per_n}: need <= 10**5"
         )
     try:  # the gap window must hold enough eigenvalues; gamma shows it undrawn
-        dbm.gap_distribution(gamma, dbm.GAP_WINDOW)
+        start = dbm.gap_distribution(gamma, dbm.GAP_WINDOW)
     except dbm.SampleSizeError as exc:
         raise ConfigError(f"N = {n} too small for dbm-relax: {exc}") from exc
+    # every sample at t = 0 is diag(gamma): spectrum gamma, both variances at their target 0
+    flow = [(np.tile(start, cfg.samples_per_n), 0.0, 0.0)]
     ref_stream = derive_stream(cfg.master_seed, 10**6 + 1)
-    stop, flow = threading.Event(), []
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as background:
         # dsterf calls no BLAS: while the flow's phases pin BLAS to one thread
         # the reference is solved on the cores they leave idle, as wide as the
@@ -530,7 +518,7 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
         try:
             if not pins(n):
                 reference.result()
-            for ti, t in enumerate(t_list):
+            for ti, t in enumerate(t_list[1:], 1):
                 if reference.done():
                     reference.result()  # raises the reference's error, if any
                 flow.append(_flow_time(cfg, gamma, ti, t))

@@ -12,6 +12,7 @@ import ctypes
 import functools
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,15 @@ def eigenvalue_phase(n: int, eigenvalues_only: bool = True):
             yield True
         finally:
             set_(host)
+
+
+def _map_indexed(fn, count: int, threads: int) -> list:
+    """Apply fn to 0..count-1; result order (hence every report) is
+    independent of the thread count."""
+    if threads <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return list(ex.map(fn, range(count)))
 
 
 class WignerSample:

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import pytest
@@ -15,6 +16,28 @@ def blas_threads_restored():
     yield
     if threads:
         assert threads[0]() == before, "OpenBLAS thread count changed"
+
+
+@pytest.fixture
+def host_blas_threads():
+    """``with host_blas_threads(k):`` sets the host's OpenBLAS thread count to
+    k and restores it afterwards. Skips the test when OpenBLAS exports no
+    thread count setter."""
+    threads = sampler._lapack().get("threads")
+    if threads is None:
+        pytest.skip("OpenBLAS exports no thread count setter")
+    get, set_ = threads
+
+    @contextlib.contextmanager
+    def at(count):
+        host = get()
+        set_(count)
+        try:
+            yield
+        finally:
+            set_(host)
+
+    return at
 
 
 def _traced_peak(fn, *args, **kwargs):

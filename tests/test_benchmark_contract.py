@@ -15,9 +15,8 @@ import threading
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from wignerlab import cli, experiments, sampler
+from wignerlab import cli, experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -138,24 +137,16 @@ def test_every_runner_runs_traced(monkeypatch):
     assert {s[1] for s in tracer.spans} >= {"resolvent.control_sweep", "experiments.runner"}
 
 
-def test_traced_reference_solves_nest_under_the_reference(monkeypatch):
+def test_traced_reference_solves_nest_under_the_reference(monkeypatch, host_blas_threads):
     """The reference's solves run in pool threads; the tracer's map wrapper
     carries the reference's span into them, so every tridiagonal solve is its
     child and `layer.dbm` does not count the solves that `layer.sampler` counts."""
-    threads = sampler._lapack().get("threads")
-    if threads is None:
-        pytest.skip("OpenBLAS exports no thread count setter")
-    get, set_ = threads
     _undo_on_teardown(monkeypatch)
     tracer = _tracer().Tracer()
     tracer.install()
-    host = get()
-    set_(2)
-    try:
+    with host_blas_threads(2):
         cfg = experiments.ExperimentConfig(n_list=[128], samples_per_n=2, reference_samples=4)
         experiments.RUNNERS["dbm-relax"](cfg)
-    finally:
-        set_(host)
     spans = {s[0]: s for s in tracer.spans}
     solves = [s for s in tracer.spans if s[1] == "sampler.eigvalsh_tridiagonal"]
     assert len(solves) == 4

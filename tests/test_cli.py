@@ -147,6 +147,15 @@ def test_utility_bad_input_is_config_error(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("n", ["", ","])
+def test_empty_n_flag_is_config_error(tmp_path, capsys, n):
+    # an empty --n is a list of no sizes, not the config's default
+    out = tmp_path / "out"
+    assert main(["rigidity", "--n", n, "--samples", "2", "--out", str(out)]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_profile(capsys):
     assert main(["check-profile", "--profile", "flat", "--n", "16"]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)

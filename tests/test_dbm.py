@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wignerlab import sampler
+from wignerlab import dbm, experiments, sampler
 from wignerlab.dbm import (
     GAP_WINDOW,
     FlowError,
@@ -116,6 +116,29 @@ def test_dbm_relax_start_row_factorizes_nothing(monkeypatch):
     assert calls == [n] * 4 * k
 
 
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+def test_dbm_relax_start_row_needs_no_sample_phase(monkeypatch, symmetry):
+    # the t = 0 row is known before any draw: only the four later flow times
+    # run a sample phase and draw an endpoint, and the start row pools K
+    # copies of gamma's gaps with both variances at their target
+    n, k = 130, 3
+    phases, endpoints, pooled = [], [], []
+    monte_carlo, endpoint, ks = experiments.monte_carlo, dbm.ou_endpoint, experiments.ks_two_sample
+    monkeypatch.setattr(experiments, "monte_carlo",
+                        lambda *a, **kw: phases.append(a[1]) or monte_carlo(*a, **kw))
+    monkeypatch.setattr(dbm, "ou_endpoint",
+                        lambda start, t, *a: endpoints.append(t) or endpoint(start, t, *a))
+    monkeypatch.setattr(experiments, "ks_two_sample",
+                        lambda a, b: pooled.append(a) or ks(a, b))
+    rep = run_dbm_relax(ExperimentConfig(n_list=[n], samples_per_n=k, symmetry=symmetry,
+                                         reference_samples=2))
+    assert phases == [n] * 4
+    assert len(endpoints) == 4 * k and 0.0 not in endpoints
+    start = gap_distribution(classical_locations(n), GAP_WINDOW)
+    assert pooled[0].tobytes() == np.tile(start, k).tobytes()
+    assert rep.rows[0][0] == 0.0 and rep.rows[0][3:] == (0.0, 0.0)
+
+
 def test_semigroup_coefficient_identity():
     for s, t in ((0.1, 0.5), (0.02, 1.7)):
         assert math.exp(-s / 2) * math.exp(-(t - s) / 2) == pytest.approx(math.exp(-t / 2), rel=1e-14)
@@ -215,23 +238,19 @@ def test_reference_gaps_match_dense_gaussian_ensemble(symmetry):
 
 @pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
 @pytest.mark.parametrize("blas_threads", [1, 2, 4])
-def test_reference_bytes_match_a_serial_loop(symmetry, blas_threads):
+def test_reference_bytes_match_a_serial_loop(symmetry, blas_threads, host_blas_threads):
     """The spectra are solved side by side, as many as OpenBLAS has threads
     (4 is more than this test assumes cores), with the bytes of drawing and
     solving them in turn from the one stream, also when threads switch often."""
-    threads = sampler._lapack().get("threads")
-    if threads is None:
-        pytest.skip("OpenBLAS exports no thread count setter")
-    get, set_ = threads
-    n, samples, host, interval = 128, 9, get(), sys.getswitchinterval()
-    set_(blas_threads)
-    sys.setswitchinterval(1e-6)
-    try:
-        got = equilibrium_gap_reference(n, symmetry, samples, derive_stream(21, 1))
-        assert get() == blas_threads
-    finally:
-        sys.setswitchinterval(interval)
-        set_(host)
+    get = sampler._lapack()["threads"][0]
+    n, samples, interval = 128, 9, sys.getswitchinterval()
+    with host_blas_threads(blas_threads):
+        sys.setswitchinterval(1e-6)
+        try:
+            got = equilibrium_gap_reference(n, symmetry, samples, derive_stream(21, 1))
+            assert get() == blas_threads
+        finally:
+            sys.setswitchinterval(interval)
     stream = derive_stream(21, 1)
     want = np.concatenate([gap_distribution(gaussian_ensemble_spectrum(n, symmetry, stream),
                                             GAP_WINDOW) for _ in range(samples)])

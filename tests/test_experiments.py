@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -282,23 +281,13 @@ def _blas_threads():
     return threads
 
 
-@contextlib.contextmanager
-def _host_blas_threads(count):
-    get, set_ = _blas_threads()
-    host = get()
-    set_(count)
-    try:
-        yield
-    finally:
-        set_(host)
-
-
 @pytest.mark.parametrize("count", [1, 2])
-def test_reference_solves_as_many_spectra_at_once_as_blas_has_threads(monkeypatch, count):
+def test_reference_solves_as_many_spectra_at_once_as_blas_has_threads(monkeypatch, count,
+                                                                      host_blas_threads):
     """dsterf calls no BLAS: the reference's phase keeps the host's count and
     runs that many solves at once."""
     state = _count_overlap(monkeypatch, [(dbm, "eigvalsh_tridiagonal")])
-    with _host_blas_threads(count):
+    with host_blas_threads(count):
         dbm.equilibrium_gap_reference(128, SYMMETRIC, 6, derive_stream(1, 2))
     assert state["calls"] == 6 and state["peak"] == count
 
@@ -316,12 +305,12 @@ def _solve_overlap(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [1, 2])
-def test_reference_runs_beside_pinned_flow_solves(monkeypatch, count):
+def test_reference_runs_beside_pinned_flow_solves(monkeypatch, count, host_blas_threads):
     """At N <= PIN_MAX_N the flow's phases pin BLAS to one thread, and the
     reference, which calls no BLAS, is solved on the cores they leave idle,
     no wider than the host's thread count."""
     reference, flow = _solve_overlap(monkeypatch)
-    with _host_blas_threads(count):
+    with host_blas_threads(count):
         run_dbm_relax(ExperimentConfig(n_list=[128], samples_per_n=2, reference_samples=20))
     assert reference["calls"] == 20 and flow["calls"] == 8
     assert any(reference["log"] + flow["log"])
@@ -338,7 +327,7 @@ def test_reference_runs_before_unpinned_flow_solves(monkeypatch):
     assert not any(reference["log"] + flow["log"])
 
 
-def test_flow_error_waits_for_the_reference(monkeypatch):
+def test_flow_error_waits_for_the_reference(monkeypatch, host_blas_threads):
     """A flow solve that raises while the reference is still being solved
     reaches the caller once the reference's threads are gone, with BLAS_LOCK
     free and the host's thread count back."""
@@ -351,7 +340,7 @@ def test_flow_error_waits_for_the_reference(monkeypatch):
         raise FloatingPointError("eigendecomposition produced non-finite values")
 
     monkeypatch.setattr(sampler, "eigvalsh_inplace", failing)
-    with _host_blas_threads(2):
+    with host_blas_threads(2):
         host, before = get(), threading.active_count()
         with pytest.raises(FloatingPointError):
             run_dbm_relax(ExperimentConfig(n_list=[128], samples_per_n=2,
@@ -362,7 +351,7 @@ def test_flow_error_waits_for_the_reference(monkeypatch):
     assert not sampler.BLAS_LOCK.locked()
 
 
-def test_reference_worker_error_reaches_the_runner(monkeypatch):
+def test_reference_worker_error_reaches_the_runner(monkeypatch, host_blas_threads):
     solve, raised = dbm.eigvalsh_tridiagonal, []
 
     def failing(d, e):
@@ -372,13 +361,13 @@ def test_reference_worker_error_reaches_the_runner(monkeypatch):
         return solve(d, e)
 
     monkeypatch.setattr(dbm, "eigvalsh_tridiagonal", failing)
-    with _host_blas_threads(2), pytest.raises(FloatingPointError):
+    with host_blas_threads(2), pytest.raises(FloatingPointError):
         run_dbm_relax(ExperimentConfig(n_list=[128], samples_per_n=2, reference_samples=6))
     assert raised and raised[0] != threading.get_ident()
     assert not sampler.BLAS_LOCK.locked()
 
 
-def test_flow_error_stops_the_reference(monkeypatch):
+def test_flow_error_stops_the_reference(monkeypatch, host_blas_threads):
     """A flow solve that raises stops the reference: it draws no spectrum
     after the error, so far fewer than its 40 solves run."""
     samples = 40
@@ -388,12 +377,12 @@ def test_flow_error_stops_the_reference(monkeypatch):
         raise FloatingPointError("eigendecomposition produced non-finite values")
 
     monkeypatch.setattr(sampler, "eigvalsh_inplace", failing)
-    with _host_blas_threads(2), pytest.raises(FloatingPointError):
+    with host_blas_threads(2), pytest.raises(FloatingPointError):
         run_dbm_relax(ExperimentConfig(n_list=[128], samples_per_n=2, reference_samples=samples))
     assert reference["active"] == 0 and reference["calls"] < samples // 2
 
 
-def test_reference_error_stops_the_flow(monkeypatch):
+def test_reference_error_stops_the_flow(monkeypatch, host_blas_threads):
     """A reference solve that raises ends the run at the next flow time: of
     the flow's 8 solves (two samples at each t > 0) at most the first flow
     time's run."""
@@ -403,7 +392,7 @@ def test_reference_error_stops_the_flow(monkeypatch):
         raise FloatingPointError("eigendecomposition produced non-finite values")
 
     monkeypatch.setattr(dbm, "eigvalsh_tridiagonal", failing)
-    with _host_blas_threads(2), pytest.raises(FloatingPointError):
+    with host_blas_threads(2), pytest.raises(FloatingPointError):
         run_dbm_relax(ExperimentConfig(n_list=[128], samples_per_n=2, reference_samples=6))
     assert flow["calls"] <= 2
 

@@ -13,7 +13,6 @@ import hashlib
 
 import pytest
 
-from wignerlab import sampler
 from wignerlab.experiments import RUNNERS, ExperimentConfig
 
 GOLDEN = {
@@ -87,22 +86,15 @@ def test_dbm_relax_hermitian_csv_hash(tmp_path):
                   distribution_b="rademacher", master_seed=3)),
     ("dbm-relax", dict(n_list=[256], samples_per_n=2, reference_samples=8, master_seed=3)),
 ], ids=["rigidity", "edge-hermitian", "dbm-relax"])
-def test_csv_independent_of_host_blas_threads(name, kwargs, tmp_path):
+def test_csv_independent_of_host_blas_threads(name, kwargs, tmp_path, host_blas_threads):
     """At N <= PIN_MAX_N the runners solve on one BLAS thread whatever the
     host's setting; without the pin, 1 and 2 threads give other bits here.
     The dbm-relax reference solves as many spectra at once as BLAS has
     threads, and its bytes do not depend on that width."""
-    threads = sampler._lapack().get("threads")
-    if threads is None:
-        pytest.skip("OpenBLAS exports no thread count setter")
-    get, set_ = threads
-    host, csvs = get(), []
-    try:
-        for count in (1, 2):
-            set_(count)
-            path = tmp_path / f"{count}.csv"
+    csvs = []
+    for count in (1, 2):
+        path = tmp_path / f"{count}.csv"
+        with host_blas_threads(count):
             RUNNERS[name](ExperimentConfig(**kwargs)).write_csv(path)
-            csvs.append(path.read_bytes())
-    finally:
-        set_(host)
+        csvs.append(path.read_bytes())
     assert csvs[0] == csvs[1]

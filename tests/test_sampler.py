@@ -299,19 +299,13 @@ def _twins(symmetry, n):
 @pytest.mark.parametrize("blas_threads", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 12, 130, 512])
 @pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
-def test_eigen_pair_matches_eigh_bytes(symmetry, n, blas_threads):
+def test_eigen_pair_matches_eigh_bytes(symmetry, n, blas_threads, host_blas_threads):
     """eigen_pair solves a copy of h in place and gives (w, U) with the bytes
     of numpy's eigh of the mirrored h at either BLAS thread count, on a
     sample never mirrored and on one whose h was read first; h is left as it
     was. With consume it solves h itself, with the same bytes, and of the
     sample only n stays readable."""
-    threads = sampler._lapack().get("threads")
-    if threads is None:
-        pytest.skip("OpenBLAS exports no thread count setter")
-    get, set_ = threads
-    host = get()
-    set_(blas_threads)
-    try:
+    with host_blas_threads(blas_threads):
         s, t = _twins(symmetry, n)
         consumed = _twins(symmetry, n)[0]
         h = t.h
@@ -326,8 +320,6 @@ def test_eigen_pair_matches_eigh_bytes(symmetry, n, blas_threads):
         assert consumed.n == n
         with pytest.raises(RuntimeError, match="consumed"):
             consumed.h
-    finally:
-        set_(host)
 
 
 @pytest.mark.parametrize("stale", ["nan", "lapack-output"])
