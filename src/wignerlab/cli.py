@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import types
 import typing
@@ -103,8 +104,15 @@ def _print_checks(checks: list[Check], quiet: bool) -> int:
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
-def _write_outputs(report, out_dir: str, quiet: bool) -> int:
-    out = Path(out_dir)
+def _out_dir(path: str) -> Path:
+    """``--out``, checked before a run but not created, so a config error leaves nothing."""
+    nearest = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {path}: {nearest} is not a writable directory")
+    return Path(path)
+
+
+def _write_outputs(report, out: Path, quiet: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / f"{report.name}.csv")
     report.write_json(out / f"{report.name}.json")
@@ -131,7 +139,7 @@ def _at_least(flag: str, value: int, low: int) -> int:
 
 def cmd_gamma_table(args) -> int:
     gamma = classical_locations(_at_least("--n", args.n_dim, 1))
-    out = Path(args.out)
+    out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "gamma.csv"
     with open(path, "w", newline="") as fh:
@@ -207,9 +215,8 @@ def main(argv=None) -> int:
         if args.command == "identities":
             return cmd_identities(args)
         file_values = read_config(args.config) if args.config else {}
-        cfg = build_config(file_values, args)
-        report = RUNNERS[args.command](cfg)
-        return _write_outputs(report, args.out, args.quiet)
+        cfg, out = build_config(file_values, args), _out_dir(args.out)
+        return _write_outputs(RUNNERS[args.command](cfg), out, args.quiet)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_USAGE

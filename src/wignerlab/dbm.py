@@ -7,15 +7,13 @@ an independent Gaussian matrix of entry variance 1/N.
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
 
 import numpy as np
 
 from .profile import flat_profile
-from .sampler import (HERMITIAN, SYMMETRIC, _map_indexed, blas_threads, eigvalsh_tridiagonal,
-                      gaussian, sample_buffer, sample_matrix)
+from .sampler import (HERMITIAN, SYMMETRIC, eigvalsh_tridiagonal, gaussian, sample_buffer,
+                      sample_matrix)
 from .semicircle import rho_sc
 
 
@@ -95,7 +93,7 @@ def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> np.ndarra
     return np.diff(lam) * n * rho_sc(lam[:-1])
 
 
-def _beta_hermite(n: int, symmetry: str, stream: np.random.Generator):
+def beta_hermite(n: int, symmetry: str, stream: np.random.Generator):
     """Diagonal d and off-diagonal e of ``gaussian_ensemble_spectrum``'s model,
     in its draw order."""
     beta = {SYMMETRIC: 1, HERMITIAN: 2}.get(symmetry)
@@ -112,33 +110,11 @@ def gaussian_ensemble_spectrum(n: int, symmetry: str, stream: np.random.Generato
     whose spectrum has exactly that law (Dumitriu and Edelman, J. Math. Phys. 43
     (2002) 5830): d_i = sqrt(2/(beta n)) g_i, e_k = sqrt(chi^2_{beta(n-k)}/(beta n)).
     Draw order: the n normals g_i, then the n - 1 chi-square values, k = 1..n-1."""
-    return eigvalsh_tridiagonal(*_beta_hermite(n, symmetry, stream))
+    return eigvalsh_tridiagonal(*beta_hermite(n, symmetry, stream))
 
 
-def equilibrium_gap_reference(
-    n: int, symmetry: str, samples: int, stream: np.random.Generator, *,
-    width: int | None = None, stop: threading.Event | None = None,
-) -> np.ndarray | None:
-    """Pooled unfolded GAP_WINDOW gaps of ``samples`` GOE/GUE spectra from
-    ``gaussian_ensemble_spectrum``, drawn in turn from the one stream and
-    concatenated in that order.
-
-    ``dsterf`` calls no BLAS, so this is no sample phase: it holds no
-    ``BLAS_LOCK`` while it solves and leaves the thread count alone, and it
-    may run beside a pinned phase. It solves ``width`` spectra side by side, by default as
-    many as the host's OpenBLAS has threads (``blas_threads``). Each
-    spectrum is drawn when a worker takes it, under a lock, so the draws
-    follow the serial order and the bytes do not depend on the width. Once
-    ``stop`` is set no spectrum is drawn: the solves in flight finish, and
-    the call returns None."""
-    lock, order, gaps = threading.Lock(), itertools.count(), [None] * samples
-
-    def one(_):
-        with lock:
-            if stop is not None and stop.is_set():
-                return
-            k, (d, e) = next(order), _beta_hermite(n, symmetry, stream)
-        gaps[k] = gap_distribution(eigvalsh_tridiagonal(d, e), GAP_WINDOW)
-
-    _map_indexed(one, samples, blas_threads() if width is None else width)
-    return None if stop is not None and stop.is_set() else np.concatenate(gaps)
+def equilibrium_gap_reference(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Unfolded GAP_WINDOW gaps of one reference spectrum: the tridiagonal matrix
+    with diagonal d and off-diagonal e from ``beta_hermite``, which the solve may
+    overwrite. ``dsterf`` calls no BLAS, so this is no phase and may run beside one."""
+    return gap_distribution(eigvalsh_tridiagonal(d, e), GAP_WINDOW)

@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict, replace
 from importlib import resources
 
@@ -506,26 +506,24 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
     # every sample at t = 0 is diag(gamma): spectrum gamma, both variances at their target 0
     flow = [(np.tile(start, cfg.samples_per_n), 0.0, 0.0)]
     ref_stream = derive_stream(cfg.master_seed, 10**6 + 1)
-    stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as background:
-        # dsterf calls no BLAS: while the flow's phases pin BLAS to one thread
-        # the reference is solved on the cores they leave idle, as wide as the
-        # host's count, read before a phase pins it; an unpinned flow uses
-        # every core, so the reference runs to completion first
-        reference = background.submit(dbm.equilibrium_gap_reference, n, cfg.symmetry,
-                                      cfg.reference_samples, ref_stream, width=blas_threads(),
-                                      stop=stop)
+    # dsterf calls no BLAS: while the flow's phases pin BLAS to one thread the
+    # reference is solved on the cores they leave idle, as wide as the host's
+    # count, read before a phase pins it; an unpinned flow uses every core, so the
+    # reference runs first. Each spectrum is drawn as it is submitted, in serial order
+    with ThreadPoolExecutor(max_workers=blas_threads()) as pool:
+        solves = [pool.submit(dbm.equilibrium_gap_reference, *dbm.beta_hermite(n, cfg.symmetry, ref_stream))
+                  for _ in range(cfg.reference_samples)]
         try:
             if not pins(n):
-                reference.result()
+                wait(solves)
             for ti, t in enumerate(t_list[1:], 1):
-                if reference.done():
-                    reference.result()  # raises the reference's error, if any
+                for solve in filter(Future.done, solves):
+                    solve.result()  # raises a failed solve's error
                 flow.append(_flow_time(cfg, gamma, ti, t))
         except BaseException:
-            stop.set()  # the executor waits for the reference: end it early
+            pool.shutdown(cancel_futures=True)  # solves in flight finish, no other starts
             raise
-        reference = reference.result()
+    reference = np.concatenate([solve.result() for solve in solves])
     columns = ["t", "ks", "n_gaps", "offdiag_var_z", "diag_var_z"]
     rows = [(float(t), ks_two_sample(pooled, reference)[0], int(pooled.size), z_off, z_diag)
             for t, (pooled, z_off, z_diag) in zip(t_list, flow)]

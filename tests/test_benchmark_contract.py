@@ -138,9 +138,9 @@ def test_every_runner_runs_traced(monkeypatch):
 
 
 def test_traced_reference_solves_nest_under_the_reference(monkeypatch, host_blas_threads):
-    """The reference's solves run in pool threads; the tracer's map wrapper
-    carries the reference's span into them, so every tridiagonal solve is its
-    child and `layer.dbm` does not count the solves that `layer.sampler` counts."""
+    """The reference's solves run in pool threads, one reference span per
+    spectrum, so every tridiagonal solve is the child of one and `layer.dbm`
+    does not count the solves that `layer.sampler` counts."""
     _undo_on_teardown(monkeypatch)
     tracer = _tracer().Tracer()
     tracer.install()
@@ -152,7 +152,7 @@ def test_traced_reference_solves_nest_under_the_reference(monkeypatch, host_blas
     assert len(solves) == 4
     assert all(s[5] != threading.get_ident() for s in solves)  # in the pool
     references = {s[0] for s in tracer.spans if s[1] == "dbm.equilibrium_gap_reference"}
-    assert len(references) == 1
+    assert len(references) == 4
     for solve in solves:
         parent = solve[4]
         while parent and parent not in references:

@@ -156,6 +156,21 @@ def test_empty_n_flag_is_config_error(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("argv", ["rigidity --n 64 --samples 2", "gamma-table --n 10"])
+def test_unusable_out_is_config_error_before_the_run(tmp_path, monkeypatch, capsys, argv, under):
+    # an --out that names a file, or a path under one, stops the command
+    # before it runs, not after the whole run
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    runs = []
+    monkeypatch.setitem(cli.RUNNERS, "rigidity", runs.append)
+    out = taken / "out" if under else taken
+    assert main([*argv.split(), "--out", str(out)]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert runs == [] and taken.read_text() == "kept\n"
+
+
 def test_check_profile(capsys):
     assert main(["check-profile", "--profile", "flat", "--n", "16"]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)

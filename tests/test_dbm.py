@@ -11,6 +11,7 @@ from wignerlab.dbm import (
     FlowError,
     SampleSizeError,
     _noise,
+    beta_hermite,
     equilibrium_gap_reference,
     gap_distribution,
     gaussian_ensemble_spectrum,
@@ -192,11 +193,18 @@ def test_gap_unfolding_equispaced():
     assert np.allclose(gaps, 1.0, atol=2e-2)
 
 
+def _pooled_reference(n, symmetry, samples, stream):
+    """The gaps of ``samples`` reference spectra, drawn in turn from the one
+    stream and concatenated in that order, as dbm-relax pools them."""
+    return np.concatenate([equilibrium_gap_reference(*beta_hermite(n, symmetry, stream))
+                           for _ in range(samples)])
+
+
 def test_gap_mean_near_one_for_goe():
     # and for GUE: the reference draws the symmetric class as GOE, the
     # Hermitian class as GUE
     for symmetry in (SYMMETRIC, HERMITIAN):
-        gaps = equilibrium_gap_reference(512, symmetry, 4, derive_stream(10, 0))
+        gaps = _pooled_reference(512, symmetry, 4, derive_stream(10, 0))
         assert abs(gaps.mean() - 1.0) <= 0.02
 
 
@@ -231,30 +239,42 @@ def test_reference_gaps_match_dense_gaussian_ensemble(symmetry):
             a = (a + 1j * stream.standard_normal((n, n))) / math.sqrt(2.0)
         h = (a + a.conj().T) / math.sqrt(2.0 * n)
         dense.append(gap_distribution(np.linalg.eigvalsh(h), GAP_WINDOW))
-    reference = equilibrium_gap_reference(n, symmetry, m, derive_stream(12, 1))
+    reference = _pooled_reference(n, symmetry, m, derive_stream(12, 1))
     ks, critical = ks_two_sample(np.concatenate(dense), reference)
     assert ks < critical
 
 
 @pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
 @pytest.mark.parametrize("blas_threads", [1, 2, 4])
-def test_reference_bytes_match_a_serial_loop(symmetry, blas_threads, host_blas_threads):
-    """The spectra are solved side by side, as many as OpenBLAS has threads
-    (4 is more than this test assumes cores), with the bytes of drawing and
-    solving them in turn from the one stream, also when threads switch often."""
+def test_reference_bytes_match_a_serial_loop(symmetry, blas_threads, host_blas_threads,
+                                             monkeypatch):
+    """dbm-relax solves its reference spectra side by side, as many as
+    OpenBLAS has threads (4 is more than this test assumes cores), and
+    compares the flow with the bytes of drawing and solving them in turn from
+    the one stream, also when threads switch often."""
     get = sampler._lapack()["threads"][0]
     n, samples, interval = 128, 9, sys.getswitchinterval()
+    references = []
+
+    def ks(pooled, reference):
+        references.append(reference)
+        return ks_two_sample(pooled, reference)
+
+    monkeypatch.setattr(experiments, "ks_two_sample", ks)
+    cfg = ExperimentConfig(n_list=[n], samples_per_n=2, symmetry=symmetry,
+                           master_seed=21, reference_samples=samples)
     with host_blas_threads(blas_threads):
         sys.setswitchinterval(1e-6)
         try:
-            got = equilibrium_gap_reference(n, symmetry, samples, derive_stream(21, 1))
+            run_dbm_relax(cfg)
             assert get() == blas_threads
         finally:
             sys.setswitchinterval(interval)
-    stream = derive_stream(21, 1)
+    stream = derive_stream(21, 10**6 + 1)
     want = np.concatenate([gap_distribution(gaussian_ensemble_spectrum(n, symmetry, stream),
                                             GAP_WINDOW) for _ in range(samples)])
-    assert got.tobytes() == want.tobytes()
+    assert len(references) == 5  # one KS per flow time
+    assert all(got.tobytes() == want.tobytes() for got in references)
 
 
 def test_gap_window_too_small():

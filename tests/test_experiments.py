@@ -34,7 +34,7 @@ from wignerlab.experiments import (
     upper_mean_square,
 )
 from wignerlab.profile import flat_profile
-from wignerlab.sampler import HERMITIAN, SYMMETRIC, derive_stream, from_name, sample_indexed
+from wignerlab.sampler import HERMITIAN, SYMMETRIC, from_name, sample_indexed
 from wignerlab.semicircle import classical_locations, n_sc
 
 
@@ -284,11 +284,13 @@ def _blas_threads():
 @pytest.mark.parametrize("count", [1, 2])
 def test_reference_solves_as_many_spectra_at_once_as_blas_has_threads(monkeypatch, count,
                                                                       host_blas_threads):
-    """dsterf calls no BLAS: the reference's phase keeps the host's count and
-    runs that many solves at once."""
+    """dsterf calls no BLAS: before an unpinned flow, which runs on every
+    BLAS thread, the reference keeps the host's count and runs that many
+    solves at once."""
     state = _count_overlap(monkeypatch, [(dbm, "eigvalsh_tridiagonal")])
     with host_blas_threads(count):
-        dbm.equilibrium_gap_reference(128, SYMMETRIC, 6, derive_stream(1, 2))
+        run_dbm_relax(ExperimentConfig(n_list=[sampler.PIN_MAX_N + 1], samples_per_n=2,
+                                       reference_samples=6))
     assert state["calls"] == 6 and state["peak"] == count
 
 
@@ -368,7 +370,7 @@ def test_reference_worker_error_reaches_the_runner(monkeypatch, host_blas_thread
 
 
 def test_flow_error_stops_the_reference(monkeypatch, host_blas_threads):
-    """A flow solve that raises stops the reference: it draws no spectrum
+    """A flow solve that raises stops the reference: it starts no solve
     after the error, so far fewer than its 40 solves run."""
     samples = 40
     reference = _count_overlap(monkeypatch, [(dbm, "eigvalsh_tridiagonal")])

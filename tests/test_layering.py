@@ -1,6 +1,6 @@
 """The package's import graph has no cycle through ``experiments``: only the
 CLI and the package root import the runners' module, so every layer below it
-loads without it."""
+loads without it. Only ``sampler`` and ``experiments`` start threads."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,8 @@ import wignerlab
 
 PACKAGE = Path(wignerlab.__file__).resolve().parent
 ABOVE_EXPERIMENTS = {"cli", "__init__"}
+THREAD_STARTERS = {"sampler", "experiments"}
+THREAD_MODULES = {"threading", "concurrent.futures"}
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
@@ -31,6 +33,20 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     return names
 
 
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """The dotted names of the modules a module imports by absolute import,
+    at module level or inside a function, with their parent packages."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{a.name}" for a in node.names)  # from x import y
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    return {".".join(name.split(".")[:k]) for name in names
+            for k in range(1, name.count(".") + 2)}
+
+
 def test_the_walk_sees_every_import_form():
     tree = ast.parse("from . import experiments\n"
                      "def f():\n"
@@ -39,9 +55,19 @@ def test_the_walk_sees_every_import_form():
                      "    from wignerlab.sampler import y\n"
                      "    from wignerlab import profile\n")
     assert _imported_modules(tree) == {"experiments", "dbm", "sampler", "profile"}
+    for source in ("import threading", "from threading import Lock",
+                   "import concurrent.futures", "from concurrent import futures",
+                   "def f():\n    from concurrent.futures import wait\n"):
+        assert _absolute_imports(ast.parse(source)) & THREAD_MODULES, source
 
 
 def test_only_the_cli_and_the_package_root_import_experiments():
     importers = {path.stem for path in PACKAGE.glob("*.py")
                  if "experiments" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))}
     assert importers <= ABOVE_EXPERIMENTS, sorted(importers - ABOVE_EXPERIMENTS)
+
+
+def test_only_sampler_and_experiments_import_threads():
+    importers = {path.stem for path in PACKAGE.glob("*.py")
+                 if _absolute_imports(ast.parse(path.read_text(encoding="utf-8"))) & THREAD_MODULES}
+    assert importers <= THREAD_STARTERS, sorted(importers - THREAD_STARTERS)
