@@ -29,22 +29,6 @@ class SampleSizeError(ValueError):
 GAP_WINDOW = (0.0, 1.0)
 
 
-def _noise(n: int, symmetry: str, stream: np.random.Generator,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Upper triangle and diagonal of a Gaussian matrix with entry variance
-    1/n in both symmetry classes; the strict lower triangle is zero. Drawn
-    into ``out`` if given, as in ``sample_matrix``.
-
-    Uses the flat profile on the diagonal too, which makes sigma2 = 1/n a
-    fixed point of the variance interpolation.
-    """
-    h = sample_buffer(n, symmetry, out)
-    sample_matrix(flat_profile(n), gaussian(), symmetry, stream, out=h)
-    for i in range(1, n):  # sample_matrix leaves it unset, or holding staged draws
-        h[i, :i] = 0.0
-    return h
-
-
 def ou_endpoint(
     start: np.ndarray, t: float, symmetry: str, stream: np.random.Generator,
     out: np.ndarray | None = None,
@@ -54,23 +38,23 @@ def ou_endpoint(
     whatever it held.
 
     The result holds only the upper triangle and the diagonal of the sample,
-    all a solve reads; its strict lower triangle is zero, and
-    ``WignerSample(h, mirrored=False).h`` fills it. The noise matrix becomes
+    all a solve reads; its strict lower triangle is +0.0, and
+    ``WignerSample(h, mirrored=False).h`` fills it. The noise V has entry
+    variance 1/n on the diagonal too, so sigma2 = 1/n is a fixed point of the
+    variance interpolation. V is drawn at every t, t = 0 included, and becomes
     the sample: it is scaled where it lies and e^{-t/2} start is added on its
-    diagonal, so the sample is one N x N buffer. At t = 0 the sample is
-    diag(start) over zeros and draws nothing.
+    diagonal. At t = 0 the sample is diag(start) over zeros of either sign.
     """
     if not t >= 0:  # a NaN t fails every comparison
         raise FlowError(f"t={t} must be nonnegative")
     if np.ndim(start) != 1:
         raise FlowError(f"start of shape {np.shape(start)} is not a diagonal (n,)")
     n = start.size
-    if t == 0.0:
-        h = sample_buffer(n, symmetry, out)
-        h.fill(0.0)
-    else:
-        h = _noise(n, symmetry, stream, out)
-        h *= math.sqrt(1.0 - math.exp(-t))
+    h = sample_buffer(n, symmetry, out)
+    sample_matrix(flat_profile(n), gaussian(), symmetry, stream, out=h)
+    for i in range(1, n):  # sample_matrix leaves it unset, or holding staged draws
+        h[i, :i] = 0.0
+    h *= math.sqrt(1.0 - math.exp(-t))
     h.reshape(-1)[:: n + 1] += math.exp(-t / 2.0) * start
     return h
 

@@ -10,7 +10,6 @@ from wignerlab.dbm import (
     GAP_WINDOW,
     FlowError,
     SampleSizeError,
-    _noise,
     beta_hermite,
     equilibrium_gap_reference,
     gap_distribution,
@@ -18,7 +17,9 @@ from wignerlab.dbm import (
     ou_endpoint,
 )
 from wignerlab.experiments import ExperimentConfig, ks_two_sample, run_dbm_relax
-from wignerlab.sampler import HERMITIAN, SYMMETRIC, WignerSample, derive_stream, eigvalsh_inplace
+from wignerlab.profile import flat_profile
+from wignerlab.sampler import (HERMITIAN, SYMMETRIC, WignerSample, derive_stream, eigvalsh_inplace,
+                               gaussian, sample_matrix)
 from wignerlab.semicircle import classical_locations, rho_sc
 
 
@@ -60,12 +61,25 @@ def test_endpoint_bits_match_dense_formula(symmetry, n):
     # the bits of the dense e^{-t/2} diag(s) + sqrt(1 - e^{-t}) V
     start = classical_locations(n)
     for r, t in enumerate([1e-3, 0.5 / n, 0.7, 4.0, 30.0]):
-        dense = math.exp(-t / 2.0) * np.diag(start) + math.sqrt(1.0 - math.exp(-t)) * _noise(
-            n, symmetry, derive_stream(5, r)
+        dense = math.exp(-t / 2.0) * np.diag(start) + math.sqrt(1.0 - math.exp(-t)) * np.triu(
+            sample_matrix(flat_profile(n), gaussian(), symmetry, derive_stream(5, r)).h
         )
         ht = ou_endpoint(start, t, symmetry, derive_stream(5, r))
         assert ht.dtype == dense.dtype
         assert ht.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, HERMITIAN])
+def test_endpoint_reads_its_stream_alike_at_every_t(symmetry):
+    # t = 0 draws its noise too: a caller's stream ends in the same state
+    # whatever t it asked for
+    start = start_diagonal(16)
+    ends = []
+    for t in (0.0, 0.3):
+        stream = derive_stream(8, 0)
+        ou_endpoint(start, t, symmetry, stream)
+        ends.append(stream.standard_normal())
+    assert ends[0] == ends[1]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
