@@ -21,10 +21,6 @@ class FlowError(ValueError):
     pass
 
 
-class SampleSizeError(ValueError):
-    pass
-
-
 # (center, half_width) of the bulk window whose gaps are compared
 GAP_WINDOW = (0.0, 1.0)
 
@@ -60,21 +56,13 @@ def ou_endpoint(
 
 
 def gap_distribution(eigs: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    """Spacings inside the window (center, half_width), unfolded by the local
-    semicircle density: each gap lambda_{j+1} - lambda_j is multiplied by
-    N rho_sc(lambda_j)."""
+    """Spacings of the eigenvalues inside the window (center, half_width),
+    however few, unfolded by the local semicircle density: each gap
+    lambda_{j+1} - lambda_j is multiplied by N rho_sc(lambda_j)."""
     center, half_width = window
     eigs = np.sort(np.asarray(eigs))
-    n = eigs.size
-    mask = np.abs(eigs - center) <= half_width
-    idx = np.flatnonzero(mask)
-    if idx.size < 50:
-        raise SampleSizeError(
-            f"only {idx.size} eigenvalues in window ({center} +- {half_width}), need >= 50"
-        )
-    lo, hi = idx[0], idx[-1]
-    lam = eigs[lo : hi + 1]
-    return np.diff(lam) * n * rho_sc(lam[:-1])
+    lam = eigs[np.abs(eigs - center) <= half_width]
+    return np.diff(lam) * eigs.size * rho_sc(lam[:-1])
 
 
 def beta_hermite(n: int, symmetry: str, stream: np.random.Generator):

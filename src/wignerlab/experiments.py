@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from importlib import resources
 
@@ -247,13 +247,16 @@ def ks_two_sample(a, b, alpha: float = 0.01) -> tuple[float, float]:
 
 
 def slope_fit(xs, ys) -> tuple[float, float, float]:
-    """OLS of log y on log x: (slope, intercept, stderr of slope)."""
+    """OLS of log y on log x: (slope, intercept, stderr of slope), all NaN
+    when a y is 0 (a sampled median can be), so a check on them fails."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 3:
         raise ValueError(f"need >= 3 points, got {xs.size}")
-    if np.any(xs <= 0) or np.any(ys <= 0):
+    if np.any(xs <= 0) or np.any(ys < 0):
         raise ValueError("log-log fit requires positive data")
+    if np.any(ys == 0):
+        return math.nan, math.nan, math.nan
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
@@ -499,31 +502,24 @@ def run_dbm_relax(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError(
             f"dbm-relax streams collide at samples_per_n = {cfg.samples_per_n}: need <= 10**5"
         )
-    try:  # the gap window must hold enough eigenvalues; gamma shows it undrawn
-        start = dbm.gap_distribution(gamma, dbm.GAP_WINDOW)
-    except dbm.SampleSizeError as exc:
-        raise ConfigError(f"N = {n} too small for dbm-relax: {exc}") from exc
+    start = dbm.gap_distribution(gamma, dbm.GAP_WINDOW)
+    if start.size < 49:  # fewer than 50 classical locations in the window
+        raise ConfigError(f"N = {n} too small for dbm-relax: gamma leaves {start.size} gaps in "
+                          f"window {dbm.GAP_WINDOW}, need >= 49")
     # every sample at t = 0 is diag(gamma): spectrum gamma, both variances at their target 0
     flow = [(np.tile(start, cfg.samples_per_n), 0.0, 0.0)]
     ref_stream = derive_stream(cfg.master_seed, 10**6 + 1)
+    draws = (dbm.beta_hermite(n, cfg.symmetry, ref_stream) for _ in range(cfg.reference_samples))
     # dsterf calls no BLAS: while the flow's phases pin BLAS to one thread the
     # reference is solved on the cores they leave idle, as wide as the host's
     # count, read before a phase pins it; an unpinned flow uses every core, so the
-    # reference runs first. Each spectrum is drawn as it is submitted, in serial order
+    # reference runs first. map submits each spectrum as it is drawn, in serial order
     with ThreadPoolExecutor(max_workers=blas_threads()) as pool:
-        solves = [pool.submit(dbm.equilibrium_gap_reference, *dbm.beta_hermite(n, cfg.symmetry, ref_stream))
-                  for _ in range(cfg.reference_samples)]
-        try:
-            if not pins(n):
-                wait(solves)
-            for ti, t in enumerate(t_list[1:], 1):
-                for solve in filter(Future.done, solves):
-                    solve.result()  # raises a failed solve's error
-                flow.append(_flow_time(cfg, gamma, ti, t))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # solves in flight finish, no other starts
-            raise
-    reference = np.concatenate([solve.result() for solve in solves])
+        gaps = pool.map(lambda de: dbm.equilibrium_gap_reference(*de), draws)
+        if not pins(n):
+            gaps = list(gaps)
+        flow += [_flow_time(cfg, gamma, ti, t) for ti, t in enumerate(t_list[1:], 1)]
+        reference = np.concatenate(list(gaps))
     columns = ["t", "ks", "n_gaps", "offdiag_var_z", "diag_var_z"]
     rows = [(float(t), ks_two_sample(pooled, reference)[0], int(pooled.size), z_off, z_diag)
             for t, (pooled, z_off, z_diag) in zip(t_list, flow)]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wignerlab import cli
+from wignerlab import cli, dbm
 from wignerlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -350,3 +350,39 @@ def test_runners_run_at_n2(tmp_path, command, lines):
         header = next(csv.reader(fh))
     if command == "edge":
         assert header == ["ensemble", "sample_index", "top_1", "top_2", "bottom"]
+
+
+# dbm-relax checks its gap window on gamma before any draw: at every N >= 83
+# it runs to its checks, though a sampled spectrum may leave fewer than 50
+# eigenvalues in the window, and at N = 82 it fails on its config.
+@pytest.mark.parametrize("symmetry", ["symmetric", "hermitian"])
+@pytest.mark.parametrize("n", [83, 84, 85])
+def test_dbm_relax_runs_at_every_n_its_window_admits(tmp_path, symmetry, n):
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text(f"symmetry = {symmetry}\n")
+    argv = ["dbm-relax", "--config", str(cfg_file), "--n", str(n), "--out", str(tmp_path / "out"),
+            "--quiet"]
+    assert main(argv) in (EXIT_OK, EXIT_CHECK_FAILED)
+
+
+def test_dbm_relax_window_too_small_fails_before_any_draw(tmp_path, monkeypatch, capsys):
+    def draw(*args):
+        raise AssertionError("drew before the config was checked")
+
+    monkeypatch.setattr(dbm, "ou_endpoint", draw)
+    monkeypatch.setattr(dbm, "beta_hermite", draw)
+    out = tmp_path / "out"
+    assert main(["dbm-relax", "--n", "82", "--out", str(out), "--quiet"]) == EXIT_USAGE
+    assert "config error: N = 82 too small for dbm-relax" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rigidity_zero_median_fails_its_slope_check(tmp_path, capsys):
+    # at N = 2 this Rademacher sample's center deviation is exactly 0, so the
+    # log-log center slope is NaN and its check fails
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text("distribution = rademacher\n")
+    argv = ["rigidity", "--config", str(cfg_file), "--n", "2,3,4", "--samples", "1", "--seed", "1",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert "[FAIL] rigidity_center_slope: nan," in capsys.readouterr().out

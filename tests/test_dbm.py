@@ -9,7 +9,6 @@ from wignerlab import dbm, experiments, sampler
 from wignerlab.dbm import (
     GAP_WINDOW,
     FlowError,
-    SampleSizeError,
     beta_hermite,
     equilibrium_gap_reference,
     gap_distribution,
@@ -291,11 +290,15 @@ def test_reference_bytes_match_a_serial_loop(symmetry, blas_threads, host_blas_t
     assert all(got.tobytes() == want.tobytes() for got in references)
 
 
-def test_gap_window_too_small():
-    with pytest.raises(SampleSizeError):
-        gap_distribution(np.linspace(-2, 2, 400), (0.0, 0.01))
-    with pytest.raises(SampleSizeError):
-        gap_distribution(np.array([5.0, 6.0]), (0.0, 0.5))
+@pytest.mark.parametrize("window, gaps", [((3.0, 0.5), 0), ((0.2, 0.1), 0), ((0.3, 0.15), 1)])
+def test_gap_distribution_unfolds_however_few_eigenvalues(window, gaps):
+    """A window holding 0, 1 or 2 eigenvalues gives 0, 0 and 1 gaps; the
+    spectrum's size, not the window's count, sets the unfolding."""
+    eigs = np.array([5.0, 0.4, -0.5, 0.2])
+    got = gap_distribution(eigs, window)
+    assert got.shape == (gaps,)
+    if gaps:
+        assert got[0] == (0.4 - 0.2) * 4 * rho_sc(0.2)
 
 
 def test_rigid_start_has_degenerate_gaps():
